@@ -1,15 +1,15 @@
 //! Supplementary: the fabric stepping engines on a fig19-style
 //! depletion campaign — wall-clock speedup next to unchanged goldens.
 //!
-//! Three engines step the same fabric: the reference loops
-//! (`StepPath::Reference`), the per-step cached fast path
-//! (`StepPath::Fast`: allocation-free water-filling into per-fabric
+//! Two engines step the same fabric: the reference loops
+//! (`StepPath::Reference`) and the event-driven engine
+//! (`StepPath::Event`: allocation-free water-filling into per-fabric
 //! scratch buffers, a signature-keyed rate cache, closed-form shaper
-//! rests), and the event-driven engine (`StepPath::Event`: closed-form
-//! next-event horizons jump the fabric between token-bucket crossings,
-//! fault transitions, and flow completions on struct-of-arrays state).
-//! All three are contractually bit-identical. This bench runs the same
-//! 600 s-of-simulated-time depletion campaign through each path, CHECKs
+//! rests, and closed-form next-event horizons that jump the fabric
+//! between token-bucket crossings, fault transitions, and flow
+//! completions on struct-of-arrays state). Both are contractually
+//! bit-identical. This bench runs the same 600 s-of-simulated-time
+//! depletion campaign through each path, CHECKs
 //! the golden trace hashes match exactly (and stay invariant across
 //! REPRO_JOBS=1/4 on the event engine), reports the speedups and the
 //! cache/event counters, and emits machine-readable `BENCH_fabric.json`
@@ -87,9 +87,8 @@ fn main() {
         mmss(HORIZON_S)
     );
 
-    // Reference path first (its counters tell us what the other engines
-    // get to skip), then the fast path, then the event engine. Each
-    // path runs the identical campaign several times; the best run is
+    // Reference path first (its counters tell us what the event engine
+    // gets to skip), then the event engine. Each path runs the identical campaign several times; the best run is
     // the least-noisy estimate of its cost on this machine.
     const TIMING_RUNS: usize = 5;
     let time_path = |path: StepPath| {
@@ -113,34 +112,23 @@ fn main() {
         perf_ref.ref_vec_allocs
     );
 
-    let (hash_fast, reps_fast, perf_fast, t_fast) = time_path(StepPath::Fast);
-    let hit_rate = perf_fast.cache_hit_rate();
-    println!(
-        "  fast:      {:.1} ms wall (best of {TIMING_RUNS}), {reps_fast} reps, {} steps, {} recomputes / {} cache hits ({:.1}% hit), hash {hash_fast:016x}",
-        t_fast * 1e3,
-        perf_fast.steps,
-        perf_fast.rate_recomputes,
-        perf_fast.rate_cache_hits,
-        hit_rate * 100.0
-    );
-
     let (hash_event, reps_event, perf_event, t_event) = time_path(StepPath::Event);
+    let hit_rate = perf_event.cache_hit_rate();
     println!(
-        "  event:     {:.1} ms wall (best of {TIMING_RUNS}), {reps_event} reps, {} steps, {} jumps covering {} steps ({:.1} steps/jump), hash {hash_event:016x}",
+        "  event:     {:.1} ms wall (best of {TIMING_RUNS}), {reps_event} reps, {} steps, {} jumps covering {} steps ({:.1} steps/jump), {} recomputes / {} cache hits ({:.1}% hit), hash {hash_event:016x}",
         t_event * 1e3,
         perf_event.steps,
         perf_event.event_jumps,
         perf_event.event_steps,
         perf_event.event_steps as f64 / perf_event.event_jumps.max(1) as f64,
+        perf_event.rate_recomputes,
+        perf_event.rate_cache_hits,
+        hit_rate * 100.0
     );
 
     let speedup = t_ref / t_event;
-    let speedup_fast = t_ref / t_fast;
     let steps_per_sec_event = perf_event.steps as f64 / t_event;
-    let steps_per_sec_fast = perf_fast.steps as f64 / t_fast;
-    println!(
-        "  speedup: event {speedup:.2}x, fast {speedup_fast:.2}x   event engine: {steps_per_sec_event:.0} fabric steps/s"
-    );
+    println!("  speedup: event {speedup:.2}x   event engine: {steps_per_sec_event:.0} fabric steps/s");
 
     // REPRO_JOBS invariance through the event engine: shard 8 campaign
     // seeds across 1 and 4 workers and compare the combined goldens.
@@ -160,8 +148,8 @@ fn main() {
     let fleet_4 = fleet(4);
     println!("  fleet goldens: jobs=1 {fleet_1:016x}, jobs=4 {fleet_4:016x}");
 
-    // Micro-kernels: a steady-state cache-hit step and an event-kernel
-    // step vs a forced reference step on an identical 132-flow fabric.
+    // Micro-kernels: an event-kernel step vs a forced reference step on
+    // an identical 132-flow fabric.
     let mk_loaded = |path: StepPath| {
         let mut f = Fabric::new();
         for _ in 0..NODES {
@@ -178,10 +166,6 @@ fn main() {
         f.step(0.1); // settle the scratch buffers / first allocation
         f
     };
-    let mut fast = mk_loaded(StepPath::Fast);
-    let micro_fast = bench("step (fast, cache hit)", || {
-        fast.step(0.1);
-    });
     let mut refr = mk_loaded(StepPath::Reference);
     let micro_ref = bench("step (reference)", || {
         refr.step(0.1);
@@ -196,23 +180,21 @@ fn main() {
     });
     let micro_event_step_ns = micro_event.median_ns / 64.0;
     println!(
-        "  micro step speedup: fast {:.2}x, event {:.2}x ({:.0} ns/step in-kernel)",
-        micro_ref.median_ns / micro_fast.median_ns,
+        "  micro step speedup: event {:.2}x ({:.0} ns/step in-kernel)",
         micro_ref.median_ns / micro_event_step_ns,
         micro_event_step_ns,
     );
 
     // Machine-readable perf trajectory.
-    let goldens_ok = hash_event == hash_ref && hash_fast == hash_ref;
+    let goldens_ok = hash_event == hash_ref;
     let json = format!(
-        "{{\n  \"bench\": \"supp_fabric_speedup\",\n  \"workload\": \"fig19_depletion_600s_q65\",\n  \"speedup\": {speedup:.3},\n  \"speedup_fast_path\": {speedup_fast:.3},\n  \"wall_s_reference\": {t_ref:.3},\n  \"wall_s_fast\": {t_fast:.3},\n  \"wall_s_event\": {t_event:.4},\n  \"steps_per_sec_fast\": {steps_per_sec_fast:.1},\n  \"steps_per_sec_event\": {steps_per_sec_event:.1},\n  \"fabric_steps\": {},\n  \"rate_recomputes\": {},\n  \"rate_cache_hits\": {},\n  \"cache_hit_rate\": {hit_rate:.4},\n  \"event_jumps\": {},\n  \"event_steps\": {},\n  \"allocations_avoided\": {},\n  \"micro_step_fast_ns\": {:.1},\n  \"micro_step_event_ns\": {:.1},\n  \"micro_step_reference_ns\": {:.1},\n  \"golden_hash\": \"{hash_event:016x}\",\n  \"goldens_match_reference\": {},\n  \"jobs_invariant\": {}\n}}\n",
+        "{{\n  \"bench\": \"supp_fabric_speedup\",\n  \"workload\": \"fig19_depletion_600s_q65\",\n  \"speedup\": {speedup:.3},\n  \"wall_s_reference\": {t_ref:.3},\n  \"wall_s_event\": {t_event:.4},\n  \"steps_per_sec_event\": {steps_per_sec_event:.1},\n  \"fabric_steps\": {},\n  \"rate_recomputes\": {},\n  \"rate_cache_hits\": {},\n  \"cache_hit_rate\": {hit_rate:.4},\n  \"event_jumps\": {},\n  \"event_steps\": {},\n  \"allocations_avoided\": {},\n  \"micro_step_event_ns\": {:.1},\n  \"micro_step_reference_ns\": {:.1},\n  \"golden_hash\": \"{hash_event:016x}\",\n  \"goldens_match_reference\": {},\n  \"jobs_invariant\": {}\n}}\n",
         perf_event.steps,
-        perf_fast.rate_recomputes,
-        perf_fast.rate_cache_hits,
+        perf_event.rate_recomputes,
+        perf_event.rate_cache_hits,
         perf_event.event_jumps,
         perf_event.event_steps,
         perf_ref.ref_vec_allocs,
-        micro_fast.median_ns,
         micro_event_step_ns,
         micro_ref.median_ns,
         goldens_ok,
@@ -224,8 +206,8 @@ fn main() {
     println!("  wrote {}", out.display());
 
     check(
-        "golden trace hashes identical across event, fast, and reference paths",
-        goldens_ok && reps_fast == reps_ref && reps_event == reps_ref,
+        "golden trace hashes identical across event and reference paths",
+        goldens_ok && reps_event == reps_ref,
     );
     check(
         "event-engine goldens invariant across REPRO_JOBS=1/4",
@@ -235,7 +217,6 @@ fn main() {
         "rate cache engages on the depletion campaign (>90% hits)",
         hit_rate > 0.9,
     );
-    check(">=5x wall-clock speedup on the fast path", speedup_fast >= 5.0);
     check(
         ">=10x wall-clock speedup on the event engine (600 s campaign)",
         speedup >= 10.0,

@@ -19,7 +19,15 @@ use std::path::Path;
 use std::time::Instant;
 
 const SEED: u64 = 2020;
-const JOBS: usize = 4;
+/// Worker count of the jobs-invariance check. Invariance needs no free
+/// cores, so it stays fixed whatever the machine.
+const INVARIANCE_JOBS: usize = 4;
+
+/// Worker count of the timed rows: 4, or fewer on a machine with fewer
+/// cores, so timings never measure oversubscription.
+fn timed_jobs() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get()).min(4)
+}
 
 fn spec(tenants: u64) -> StreamSpec {
     StreamSpec::new(
@@ -37,17 +45,18 @@ fn main() {
         "Streaming campaign: O(1)-per-tenant aggregation at 10k-100k tenants",
     );
     println!("  workload: hpc-8 + reference faults, full-speed, {:.0} s per tenant", hours(0.05));
+    let jobs = timed_jobs();
 
     // Timed 10k-tenant run with the sketch-vs-exact self-check active.
     let mut s10k = spec(10_000);
     s10k.self_check = true;
     let t0 = Instant::now();
-    let ten_k = run_fleet_stream(&s10k, JOBS).expect("10k campaign");
+    let ten_k = run_fleet_stream(&s10k, jobs).expect("10k campaign");
     let wall_10k = t0.elapsed().as_secs_f64();
     let tenants_per_sec = 10_000.0 / wall_10k;
     let mem_10k = rss::sample();
     println!(
-        "  10k tenants: {:.2} s wall ({tenants_per_sec:.0} tenants/s, jobs={JOBS}), fingerprint {:#018x}",
+        "  10k tenants: {:.2} s wall ({tenants_per_sec:.0} tenants/s, jobs={jobs}), fingerprint {:#018x}",
         wall_10k, ten_k.fingerprint
     );
     println!("  10k memory:  {}", rss::footer(mem_10k));
@@ -56,11 +65,11 @@ fn main() {
     // same report bytes.
     let plain = spec(10_000);
     let serial = run_fleet_stream(&plain, 1).expect("10k serial");
-    let four = run_fleet_stream(&plain, JOBS).expect("10k jobs=4");
+    let four = run_fleet_stream(&plain, INVARIANCE_JOBS).expect("10k jobs=4");
     let jobs_invariant =
         serial.fingerprint == four.fingerprint && serial.render(&plain) == four.render(&plain);
     println!(
-        "  jobs goldens: jobs=1 {:#018x}, jobs={JOBS} {:#018x}",
+        "  jobs goldens: jobs=1 {:#018x}, jobs={INVARIANCE_JOBS} {:#018x}",
         serial.fingerprint, four.fingerprint
     );
 
@@ -76,8 +85,8 @@ fn main() {
     let flat2k = spec(2_000);
     let mut star2k = spec(2_000);
     star2k.topology = Some(zoo::star(16).expect("star"));
-    let flat_out = run_fleet_stream(&flat2k, JOBS).expect("2k flat");
-    let star_out = run_fleet_stream(&star2k, JOBS).expect("2k star");
+    let flat_out = run_fleet_stream(&flat2k, jobs).expect("2k flat");
+    let star_out = run_fleet_stream(&star2k, jobs).expect("2k star");
     let topology_binds = flat_out.fingerprint != star_out.fingerprint
         && star_out.mean_bps.mean() < flat_out.mean_bps.mean();
     println!(
@@ -90,7 +99,7 @@ fn main() {
     // peak is a high-water mark, so it can only grow; "flat" means the
     // 100k run adds at most a small constant on top of the 10k peak.
     let t0 = Instant::now();
-    let hundred_k = run_fleet_stream(&spec(100_000), JOBS).expect("100k campaign");
+    let hundred_k = run_fleet_stream(&spec(100_000), jobs).expect("100k campaign");
     let wall_100k = t0.elapsed().as_secs_f64();
     let mem_100k = rss::sample();
     println!(
@@ -108,7 +117,7 @@ fn main() {
     };
 
     let json = format!(
-        "{{\n  \"bench\": \"supp_scale\",\n  \"workload\": \"hpc8_reference_faults_fullspeed_180s\",\n  \"jobs\": {JOBS},\n  \"wall_s_10k\": {wall_10k:.4},\n  \"tenants_per_sec_10k\": {tenants_per_sec:.1},\n  \"wall_s_100k\": {wall_100k:.4},\n  \"tenants_per_sec_100k\": {:.1},\n  \"peak_rss_mib_10k\": {},\n  \"peak_rss_mib_100k\": {},\n  \"rss_flat_10k_to_100k\": {rss_flat},\n  \"fingerprint_10k\": \"{:#018x}\",\n  \"fingerprint_100k\": \"{:#018x}\",\n  \"jobs_invariant\": {jobs_invariant},\n  \"sketch_max_rel_err\": {:.6e},\n  \"sketch_err_bound\": {:.6e},\n  \"topology_binds\": {topology_binds}\n}}\n",
+        "{{\n  \"bench\": \"supp_scale\",\n  \"workload\": \"hpc8_reference_faults_fullspeed_180s\",\n  \"jobs\": {jobs},\n  \"wall_s_10k\": {wall_10k:.4},\n  \"tenants_per_sec_10k\": {tenants_per_sec:.1},\n  \"wall_s_100k\": {wall_100k:.4},\n  \"tenants_per_sec_100k\": {:.1},\n  \"peak_rss_mib_10k\": {},\n  \"peak_rss_mib_100k\": {},\n  \"rss_flat_10k_to_100k\": {rss_flat},\n  \"fingerprint_10k\": \"{:#018x}\",\n  \"fingerprint_100k\": \"{:#018x}\",\n  \"jobs_invariant\": {jobs_invariant},\n  \"sketch_max_rel_err\": {:.6e},\n  \"sketch_err_bound\": {:.6e},\n  \"topology_binds\": {topology_binds}\n}}\n",
         100_000.0 / wall_100k,
         mem_10k.map_or("null".to_string(), |m| format!("{:.1}", m.peak_mib())),
         mem_100k.map_or("null".to_string(), |m| format!("{:.1}", m.peak_mib())),

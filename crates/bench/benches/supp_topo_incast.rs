@@ -4,9 +4,9 @@
 //! A 32-host `fattree4` hosts repeated incast rounds: every host sends
 //! a randomly-sized flow to one sink, the fabric steps until the fan-in
 //! drains, and the golden hash folds every completion horizon and
-//! per-node byte counter. The campaign runs through all three stepping
-//! engines (event, fast, reference) on both the fat-tree and the flat
-//! topology; all six runs must agree bit-for-bit per topology, and a
+//! per-node byte counter. The campaign runs through both stepping
+//! engines (event, reference) on both the fat-tree and the flat
+//! topology; the two runs must agree bit-for-bit per topology, and a
 //! sharded fleet of eight campaigns must hash identically on
 //! REPRO_JOBS=1 and 4. Wall-clock numbers (steps/sec) and the per-link
 //! water-filling cache hit rate land in machine-readable
@@ -99,33 +99,24 @@ fn main() {
         t_ref * 1e3,
         perf_ref.steps
     );
-    let (tree_fast, perf_fast, t_fast) = time_path("fattree4", StepPath::Fast);
-    let link_hit = perf_fast.link_cache_hit_rate();
-    println!(
-        "  fast:      {:.1} ms wall (best of {TIMING_RUNS}), {} steps, link cache {}/{} ({:.1}% hit), hash {tree_fast:016x}",
-        t_fast * 1e3,
-        perf_fast.steps,
-        perf_fast.link_cache_hits,
-        perf_fast.link_recomputes + perf_fast.link_cache_hits,
-        link_hit * 100.0
-    );
     let (tree_event, perf_event, t_event) = time_path("fattree4", StepPath::Event);
+    let link_hit = perf_event.link_cache_hit_rate();
     let steps_per_sec_event = perf_event.steps as f64 / t_event;
     println!(
-        "  event:     {:.1} ms wall (best of {TIMING_RUNS}), {} steps ({steps_per_sec_event:.0} steps/s), hash {tree_event:016x}",
+        "  event:     {:.1} ms wall (best of {TIMING_RUNS}), {} steps ({steps_per_sec_event:.0} steps/s), link cache {}/{} ({:.1}% hit), hash {tree_event:016x}",
         t_event * 1e3,
-        perf_event.steps
+        perf_event.steps,
+        perf_event.link_cache_hits,
+        perf_event.link_recomputes + perf_event.link_cache_hits,
+        link_hit * 100.0
     );
 
-    // Flat topology through all three engines: the flat-equivalence
+    // Flat topology through both engines: the flat-equivalence
     // contract says topology-aware plumbing must leave the linkless
     // model untouched, whichever engine steps it.
     let (flat_event, flat_perf, _) = time_path("flat", StepPath::Event);
-    let (flat_fast, ..) = time_path("flat", StepPath::Fast);
     let (flat_ref, ..) = time_path("flat", StepPath::Reference);
-    println!(
-        "  flat:      hashes event {flat_event:016x} / fast {flat_fast:016x} / reference {flat_ref:016x}"
-    );
+    println!("  flat:      hashes event {flat_event:016x} / reference {flat_ref:016x}");
 
     // REPRO_JOBS invariance: shard 8 campaign seeds across 1 and 4
     // workers and compare the combined goldens.
@@ -147,13 +138,13 @@ fn main() {
     println!("  memory:    {}", rss::footer(rss::sample()));
 
     // Machine-readable perf trajectory.
-    let tree_ok = tree_event == tree_ref && tree_fast == tree_ref;
-    let flat_ok = flat_event == flat_ref && flat_fast == flat_ref;
+    let tree_ok = tree_event == tree_ref;
+    let flat_ok = flat_event == flat_ref;
     let json = format!(
-        "{{\n  \"bench\": \"supp_topo_incast\",\n  \"workload\": \"fattree4_32host_incast_{ROUNDS}rounds\",\n  \"wall_s_reference\": {t_ref:.4},\n  \"wall_s_fast\": {t_fast:.4},\n  \"wall_s_event\": {t_event:.4},\n  \"steps_per_sec_event\": {steps_per_sec_event:.1},\n  \"fabric_steps\": {},\n  \"link_recomputes\": {},\n  \"link_cache_hits\": {},\n  \"link_cache_hit_rate\": {link_hit:.4},\n  \"golden_hash_fattree\": \"{tree_event:016x}\",\n  \"golden_hash_flat\": \"{flat_event:016x}\",\n  \"goldens_match_reference\": {},\n  \"jobs_invariant\": {}\n}}\n",
+        "{{\n  \"bench\": \"supp_topo_incast\",\n  \"workload\": \"fattree4_32host_incast_{ROUNDS}rounds\",\n  \"wall_s_reference\": {t_ref:.4},\n  \"wall_s_event\": {t_event:.4},\n  \"steps_per_sec_event\": {steps_per_sec_event:.1},\n  \"fabric_steps\": {},\n  \"link_recomputes\": {},\n  \"link_cache_hits\": {},\n  \"link_cache_hit_rate\": {link_hit:.4},\n  \"golden_hash_fattree\": \"{tree_event:016x}\",\n  \"golden_hash_flat\": \"{flat_event:016x}\",\n  \"goldens_match_reference\": {},\n  \"jobs_invariant\": {}\n}}\n",
         perf_event.steps,
-        perf_fast.link_recomputes,
-        perf_fast.link_cache_hits,
+        perf_event.link_recomputes,
+        perf_event.link_cache_hits,
         tree_ok && flat_ok,
         fleet_1 == fleet_4,
     );
@@ -162,11 +153,11 @@ fn main() {
     println!("  wrote {}", out.display());
 
     check(
-        "golden hashes identical across event, fast, and reference on fattree4",
+        "golden hashes identical across event and reference on fattree4",
         tree_ok,
     );
     check(
-        "golden hashes identical across the three engines on the flat topology",
+        "golden hashes identical across both engines on the flat topology",
         flat_ok,
     );
     check(

@@ -36,10 +36,7 @@
 //! output. D9 and D10 are dataflow rules over a std-only token-tree
 //! parse ([`parser`], [`flow`]); D11 walks a whole-workspace call
 //! graph ([`graph`]); P1 cross-checks every pragma against the raw
-//! (pre-suppression) findings. Workspace runs serve per-file facts
-//! from an incremental fingerprint-keyed cache ([`cache`]) — the
-//! cross-file passes recompute every run, so cached and uncached
-//! reports are byte-identical.
+//! (pre-suppression) findings.
 //!
 //! False positives are handled at the site, in the source, with a
 //! scoped pragma: `allow(D5) -- reason` after the `detlint:` marker in
@@ -53,7 +50,6 @@
 //! (`tests/self_apply.rs`) fails if any deny-tier finding exists —
 //! including in `detlint`'s own source.
 
-pub mod cache;
 pub mod engine;
 pub mod flow;
 pub mod graph;
@@ -63,10 +59,6 @@ pub mod parser;
 pub mod report;
 pub mod rules;
 
-pub use cache::{fnv64, CacheStats};
-pub use engine::{
-    lint_manifest_source, lint_rust_source, lint_workspace, lint_workspace_cached, Analysis,
-    Finding, LintError,
-};
+pub use engine::{lint_manifest_source, lint_rust_source, lint_workspace, Finding, LintError};
 pub use report::{render_human, render_json_lines, tally, Tally};
 pub use rules::{RuleId, Severity};

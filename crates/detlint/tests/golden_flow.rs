@@ -9,9 +9,7 @@
 //! The full report is pinned; any drift in the parser, the dataflow
 //! analyses, or the call-graph resolution shows up as a diff here.
 
-use detlint::{
-    lint_workspace, lint_workspace_cached, render_json_lines, tally, RuleId, Severity,
-};
+use detlint::{lint_workspace, tally, RuleId, Severity};
 use std::path::{Path, PathBuf};
 
 fn fixture_root() -> PathBuf {
@@ -58,31 +56,4 @@ fn flow_fixture_d11_names_the_enclosing_fn() {
         "{}",
         d11[0].message
     );
-}
-
-#[test]
-fn flow_fixture_cached_report_is_byte_identical() {
-    let cache_dir = std::env::temp_dir().join(format!(
-        "detlint_flow_cache_{}_golden",
-        std::process::id()
-    ));
-    let _ = std::fs::remove_dir_all(&cache_dir);
-
-    let uncached = lint_workspace(&fixture_root()).expect("uncached");
-    let cold = lint_workspace_cached(&fixture_root(), &cache_dir).expect("cold");
-    let warm = lint_workspace_cached(&fixture_root(), &cache_dir).expect("warm");
-
-    assert_eq!(
-        render_json_lines(&uncached),
-        render_json_lines(&cold.findings)
-    );
-    assert_eq!(
-        render_json_lines(&cold.findings),
-        render_json_lines(&warm.findings)
-    );
-    // 3 Rust files in the fixture: all parsed cold, all hits warm.
-    assert_eq!((cold.stats.files, cold.stats.hits, cold.stats.parsed), (3, 0, 3));
-    assert_eq!((warm.stats.files, warm.stats.hits, warm.stats.parsed), (3, 3, 0));
-
-    let _ = std::fs::remove_dir_all(&cache_dir);
 }

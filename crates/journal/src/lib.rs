@@ -2,8 +2,8 @@
 
 //! # journal — crash-safe write-ahead log for campaign work units
 //!
-//! Long campaigns die in mundane ways — OOM kills, preemptions, power
-//! loss — and a harness that keeps its only copy of six hours of
+//! Long campaigns die in mundane ways — OOM kills, preemptions,
+//! SIGKILL — and a harness that keeps its only copy of six hours of
 //! results in memory loses all of them. This crate persists each
 //! completed work unit (a *shard*: one VM pair, one probe, one
 //! replicate) the moment it finishes, so a campaign can be SIGKILLed at
@@ -12,11 +12,15 @@
 //!
 //! ## Durability model
 //!
-//! Every append rewrites the whole journal image to `<path>.tmp` and
-//! atomically renames it over `<path>`. A crash during the write leaves
-//! the previous image intact; a crash during the rename is resolved by
-//! the filesystem to either the old or the new image, never a mix.
-//! Records are additionally length-prefixed and checksummed, so even a
+//! The guarantee covers **process crashes** (SIGKILL, OOM kill,
+//! preemption), not power loss or kernel crashes. Every append rewrites
+//! the whole journal image to `<path>.tmp` and atomically renames it
+//! over `<path>`. If the process dies during the write, the previous
+//! image is intact; if it dies during the rename, the file is either
+//! the old or the new image, never a mix. Nothing calls `sync_all` or
+//! `sync_data`: written bytes sit in the OS page cache, which survives
+//! the death of the process but not of the machine, so a power loss
+//! can lose or reorder the last writes. Records are additionally length-prefixed and checksummed, so even a
 //! journal produced by a non-atomic writer (or a corrupted disk) opens
 //! safely: the longest valid record prefix is kept and the torn tail is
 //! discarded — [`OpenReport::truncated_bytes`] says how much.
@@ -242,10 +246,11 @@ impl Journal {
         ))
     }
 
-    /// Append one completed work unit and persist it durably before
+    /// Append one completed work unit and write it to the file before
     /// returning: the new image is written to `<path>.tmp` and renamed
-    /// over `<path>`, so a crash at any instant leaves a valid journal
-    /// holding either `n` or `n+1` records.
+    /// over `<path>`, so a process crash at any instant leaves a valid
+    /// journal holding either `n` or `n+1` records. Not fsynced; see
+    /// the crate docs' durability model.
     pub fn append(&mut self, record: JournalRecord) -> Result<(), JournalError> {
         self.append_deferred(record);
         self.flush()
@@ -253,8 +258,8 @@ impl Journal {
 
     /// Append one record to the in-memory image **without** persisting
     /// it — the group-commit half of [`Journal::append`]. Deferred
-    /// records are durable only after the next [`Journal::flush`] (or
-    /// durable `append`); a crash before then loses exactly the
+    /// records reach the file only at the next [`Journal::flush`] (or
+    /// `append`); a crash before then loses exactly the
     /// deferred suffix and nothing else, because the on-disk file still
     /// holds the last flushed image. Batching k appends per flush turns
     /// the O(N) tmp+rename writes of a journaled campaign into O(N/k)

@@ -11,7 +11,8 @@ use clouds::CloudProfile;
 use netsim::faults::{FaultInjector, FaultSchedule};
 use netsim::pattern::TrafficPattern;
 use netsim::rng::{derive_seed, SimRng};
-use netsim::shaper::{MinShaper, StaticShaper};
+use netsim::nic::NicModel;
+use netsim::shaper::{MinShaper, Shaper, StaticShaper};
 use netsim::tcp::{StreamConfig, StreamSim};
 use netsim::trace::BandwidthTrace;
 use vstats::describe::{GapAwareSummary, Summary};
@@ -158,42 +159,17 @@ pub fn run_campaign(
     duration_s: f64,
     seed: u64,
 ) -> Result<CampaignResult, MeasureError> {
-    let mut vm = profile.instantiate(seed);
-    let cfg = StreamConfig::new(duration_s, pattern);
-
-    let (bandwidth, gaps) = if profile.faults.is_off() {
-        // Fault-free fast path: byte-identical to the original harness.
-        let res = StreamSim::run(&mut vm.shaper, &mut vm.nic, &cfg);
-        (res.bandwidth, Vec::new())
-    } else {
-        let schedule = FaultSchedule::generate(
-            &profile.faults,
-            1,
-            duration_s,
-            derive_seed(seed, LABEL_FAULT_TIMELINE),
-        );
-        let mut shaper = FaultInjector::new(vm.shaper, 0, schedule.clone());
-        let res = StreamSim::run(&mut shaper, &mut vm.nic, &cfg);
-        censor_trace(
-            res.bandwidth,
-            &schedule,
-            profile.faults.probe_loss_prob,
-            derive_seed(seed, LABEL_PROBE_LOSS),
-            duration_s,
-        )
-    };
-
-    package_result(profile, pattern, duration_s, bandwidth, gaps)
+    run_campaign_capped(profile, pattern, duration_s, seed, None)
 }
 
 /// [`run_campaign`] with an optional external bandwidth ceiling in
 /// bits/s — the per-tenant path capacity a [`topo`] wiring derived for
-/// the tenant's placement. `None` takes **the exact [`run_campaign`]
-/// code path** (not an infinite-cap shaper), preserving the flat-
-/// equivalence contract: topology-free campaigns are byte-identical
-/// with and without the topology layer compiled in. `Some(cap)`
-/// composes the ceiling under the profile's own shaper with
-/// [`MinShaper`], in both the fault-free and fault-injected arms.
+/// the tenant's placement. `None` runs the profile's bare shaper (not
+/// an infinite-cap shaper), preserving the flat-equivalence contract:
+/// topology-free campaigns are byte-identical with and without the
+/// topology layer compiled in. `Some(cap)` composes the ceiling under
+/// the profile's own shaper with [`MinShaper`], in both the fault-free
+/// and fault-injected arms.
 pub fn run_campaign_capped(
     profile: &CloudProfile,
     pattern: TrafficPattern,
@@ -201,17 +177,31 @@ pub fn run_campaign_capped(
     seed: u64,
     path_cap_bps: Option<f64>,
 ) -> Result<CampaignResult, MeasureError> {
-    let cap = match path_cap_bps {
-        None => return run_campaign(profile, pattern, duration_s, seed),
-        Some(c) => c,
-    };
-    let mut vm = profile.instantiate(seed);
-    let capped = MinShaper::new(vm.shaper, StaticShaper::new(cap));
+    let vm = profile.instantiate(seed);
+    match path_cap_bps {
+        None => run_campaign_on(profile, pattern, duration_s, seed, vm.shaper, vm.nic),
+        Some(cap) => {
+            let capped = MinShaper::new(vm.shaper, StaticShaper::new(cap));
+            run_campaign_on(profile, pattern, duration_s, seed, capped, vm.nic)
+        }
+    }
+}
+
+/// The one campaign body behind both runners, generic over the egress
+/// shaper so each arm keeps its own statically dispatched type.
+fn run_campaign_on<S: Shaper>(
+    profile: &CloudProfile,
+    pattern: TrafficPattern,
+    duration_s: f64,
+    seed: u64,
+    mut shaper: S,
+    mut nic: NicModel,
+) -> Result<CampaignResult, MeasureError> {
     let cfg = StreamConfig::new(duration_s, pattern);
 
     let (bandwidth, gaps) = if profile.faults.is_off() {
-        let mut shaper = capped;
-        let res = StreamSim::run(&mut shaper, &mut vm.nic, &cfg);
+        // Fault-free fast path: byte-identical to the original harness.
+        let res = StreamSim::run(&mut shaper, &mut nic, &cfg);
         (res.bandwidth, Vec::new())
     } else {
         let schedule = FaultSchedule::generate(
@@ -220,8 +210,8 @@ pub fn run_campaign_capped(
             duration_s,
             derive_seed(seed, LABEL_FAULT_TIMELINE),
         );
-        let mut shaper = FaultInjector::new(capped, 0, schedule.clone());
-        let res = StreamSim::run(&mut shaper, &mut vm.nic, &cfg);
+        let mut shaper = FaultInjector::new(shaper, 0, schedule.clone());
+        let res = StreamSim::run(&mut shaper, &mut nic, &cfg);
         censor_trace(
             res.bandwidth,
             &schedule,
@@ -230,6 +220,7 @@ pub fn run_campaign_capped(
             duration_s,
         )
     };
+
     package_result(profile, pattern, duration_s, bandwidth, gaps)
 }
 
@@ -477,65 +468,18 @@ pub(crate) fn simulate_pair(
     seed: u64,
     i: usize,
 ) -> PairSim {
-    simulate_pair_seeded(profile, pattern, duration_s, derive_seed(seed, i as u64), i)
+    simulate_pair_seeded(profile, pattern, duration_s, derive_seed(seed, i as u64), i, None)
 }
 
 /// [`simulate_pair`] with the derived pair seed supplied directly —
 /// the form the journaled driver uses, because a retried shard runs
 /// under a re-derived seed and resume-verification must be able to
-/// replay exactly the attempt that was accepted.
+/// replay exactly the attempt that was accepted — and an optional
+/// per-tenant path ceiling (see [`run_campaign_capped`]), the streaming
+/// campaign driver's per-tenant unit of work. The death draw ignores
+/// the ceiling, so a tenant's lifetime is unchanged by its placement;
+/// only its bandwidth is.
 pub(crate) fn simulate_pair_seeded(
-    profile: &CloudProfile,
-    pattern: TrafficPattern,
-    duration_s: f64,
-    pair_seed: u64,
-    i: usize,
-) -> PairSim {
-    let death_rate_per_s = profile.faults.pair_death_rate_per_hour / 3600.0;
-    // A pair's death time comes from its own derived stream so the
-    // surviving pairs' traces are unchanged by the death of others.
-    let death_s = if death_rate_per_s > 0.0 {
-        SimRng::new(derive_seed(pair_seed, LABEL_PAIR_DEATH)).exponential(death_rate_per_s)
-    } else {
-        f64::INFINITY
-    };
-    if death_s >= duration_s {
-        return match run_campaign(profile, pattern, duration_s, pair_seed) {
-            Ok(r) => PairSim::Alive(r),
-            Err(e) => PairSim::Fatal(e),
-        };
-    }
-    // The pair dies mid-campaign: run the truncated stretch, then
-    // re-annotate the result against the *requested* duration.
-    match run_campaign(profile, pattern, death_s, pair_seed) {
-        Ok(mut r) => {
-            let interval = r.trace.interval;
-            let lost_after_death = expected_intervals(pattern, death_s, duration_s, interval, 0.1);
-            let expected_n = r.gap_summary.expected_n + lost_after_death;
-            r.duration_s = duration_s;
-            r.gaps.push(TraceGap {
-                start_s: death_s,
-                end_s: duration_s,
-                cause: GapCause::PairDeath,
-            });
-            r.gaps = merge_gaps(std::mem::take(&mut r.gaps));
-            r.gap_summary =
-                GapAwareSummary::from_samples(&r.trace.bandwidths(), expected_n, r.gaps.len());
-            PairSim::Partial(r, PairFailure { pair: i, death_s, partial_data: true })
-        }
-        Err(MeasureError::EmptyTrace) => {
-            PairSim::Dead(PairFailure { pair: i, death_s, partial_data: false })
-        }
-        Err(e) => PairSim::Fatal(e),
-    }
-}
-
-/// [`simulate_pair_seeded`] with an optional per-tenant path ceiling —
-/// the streaming campaign driver's per-tenant unit of work. The death
-/// draw comes from the same derived stream as the uncapped form, so a
-/// tenant's lifetime is unchanged by its placement; only its bandwidth
-/// ceiling is. `None` is byte-identical to [`simulate_pair_seeded`].
-pub(crate) fn simulate_pair_capped(
     profile: &CloudProfile,
     pattern: TrafficPattern,
     duration_s: f64,
@@ -543,10 +487,9 @@ pub(crate) fn simulate_pair_capped(
     i: usize,
     path_cap_bps: Option<f64>,
 ) -> PairSim {
-    if path_cap_bps.is_none() {
-        return simulate_pair_seeded(profile, pattern, duration_s, pair_seed, i);
-    }
     let death_rate_per_s = profile.faults.pair_death_rate_per_hour / 3600.0;
+    // A pair's death time comes from its own derived stream so the
+    // surviving pairs' traces are unchanged by the death of others.
     let death_s = if death_rate_per_s > 0.0 {
         SimRng::new(derive_seed(pair_seed, LABEL_PAIR_DEATH)).exponential(death_rate_per_s)
     } else {
@@ -558,6 +501,8 @@ pub(crate) fn simulate_pair_capped(
             Err(e) => PairSim::Fatal(e),
         };
     }
+    // The pair dies mid-campaign: run the truncated stretch, then
+    // re-annotate the result against the *requested* duration.
     match run_campaign_capped(profile, pattern, death_s, pair_seed, path_cap_bps) {
         Ok(mut r) => {
             let interval = r.trace.interval;

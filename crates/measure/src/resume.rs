@@ -465,7 +465,7 @@ fn supervised_attempt(
     attempt_seed: u64,
 ) -> Result<PairSim, exec::TaskPanic> {
     let mut out = exec::try_par_map(1, &[attempt_seed], |&s| {
-        simulate_pair_seeded(&spec.profile, spec.pattern, spec.duration_s, s, shard)
+        simulate_pair_seeded(&spec.profile, spec.pattern, spec.duration_s, s, shard, None)
     });
     match out.pop() {
         Some(res) => res.map_err(|p| exec::TaskPanic { task: shard, payload: p.payload }),
@@ -500,7 +500,7 @@ fn run_batch(
     }
     let mut first: BTreeMap<usize, Result<PairSim, exec::TaskPanic>> =
         exec::try_par_map(jobs, &affordable, |&(shard, seed)| {
-            simulate_pair_seeded(&spec.profile, spec.pattern, spec.duration_s, seed, shard)
+            simulate_pair_seeded(&spec.profile, spec.pattern, spec.duration_s, seed, shard, None)
         })
         .into_iter()
         .zip(&affordable)

@@ -22,7 +22,9 @@
 //! worker count or completion order — so the report is byte-identical
 //! at any `--jobs`. A chained FNV-1a fingerprint (per-tenant record
 //! bytes → pane digest → campaign digest) witnesses this: verify.sh
-//! diffs it across worker counts and engines.
+//! diffs it across worker counts. Tenants run `netsim::tcp::StreamSim`
+//! and never build a `netsim::Fabric`, so the fabric stepping engine
+//! cannot reach these bytes.
 //!
 //! ## Topology composition
 //!
@@ -45,7 +47,7 @@
 //!
 //! [`run_campaign_capped`]: crate::campaign::run_campaign_capped
 
-use crate::campaign::{simulate_pair_capped, PairSim};
+use crate::campaign::{simulate_pair_seeded, PairSim};
 use crate::error::MeasureError;
 use crate::wire::Reader;
 use clouds::CloudProfile;
@@ -438,7 +440,7 @@ pub struct StreamSummary {
     /// Total bits moved across all tenants.
     pub total_bits: f64,
     /// Chained FNV-1a digest of every tenant record in tenant order —
-    /// the jobs/engine-invariance witness.
+    /// the worker-count and resume invariance witness.
     pub fingerprint: u64,
     /// Exact per-tenant means (self-check mode only; empty otherwise).
     check_means: Vec<f64>,
@@ -521,7 +523,7 @@ impl StreamSummary {
 
     /// Render the deterministic report the CLI prints — every value a
     /// pure function of the campaign inputs, so byte-diffing reports
-    /// across worker counts, engines, and kill/resume is meaningful.
+    /// across worker counts and kill/resume is meaningful.
     pub fn render(&self, spec: &StreamSpec) -> String {
         let mut s = String::new();
         let _ = writeln!(s, "== streaming campaign ==");
@@ -632,7 +634,7 @@ fn simulate_pane(spec: &StreamSpec, placement: Option<&Placement>, pane: u64) ->
     for t in start..end {
         let pair_seed = derive_seed(spec.seed, t);
         let cap = placement.and_then(|p| tenant_path_cap(p, pair_seed, t));
-        let sim = simulate_pair_capped(
+        let sim = simulate_pair_seeded(
             &spec.profile,
             spec.pattern,
             spec.duration_s,

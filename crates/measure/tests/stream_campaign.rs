@@ -1,17 +1,17 @@
-//! End-to-end engine invariance of the streaming campaign.
+//! End-to-end golden pins of the streaming campaign.
 //!
-//! The `cloud-repro campaign --tenants N` pipeline must produce
-//! byte-identical reports no matter which fabric stepping engine runs
-//! underneath (event-driven, fast incremental, or reference loops) and
-//! no matter the worker count. This file holds a single `#[test]` on
-//! purpose: it toggles process-global `FABRIC_*` environment variables,
-//! and a sibling test running concurrently would race on them.
+//! The `cloud-repro campaign --tenants N` pipeline simulates tenants
+//! with `netsim::tcp::StreamSim` and never builds a `netsim::Fabric`, so
+//! its bytes do not depend on the fabric stepping engine. What they do
+//! depend on — the pair simulation on both the capped (topology) and
+//! the uncapped (flat) arm, the pane fold, the fingerprint chain — is
+//! pinned here by golden fingerprints, together with worker-count
+//! invariance. The pins are identical in debug and release builds.
 
 use measure::stream::{run_fleet_stream, StreamSpec};
 use netsim::TrafficPattern;
 
-#[test]
-fn streaming_report_is_invariant_across_engines_and_workers() {
+fn spec(star: bool) -> StreamSpec {
     let mut spec = StreamSpec::new(
         clouds::hpccloud::n_core(8).with_reference_faults(),
         TrafficPattern::FullSpeed,
@@ -19,40 +19,31 @@ fn streaming_report_is_invariant_across_engines_and_workers() {
         400,
         0xfeed_f00d,
     );
-    spec.topology = Some(topo::zoo::star(16).expect("star"));
+    if star {
+        spec.topology = Some(topo::zoo::star(16).expect("star"));
+    }
+    spec
+}
 
-    // Baseline: default engine (event-driven), two workers.
-    std::env::remove_var("FABRIC_SLOW_PATH");
-    std::env::remove_var("FABRIC_EVENT_PATH");
-    let baseline = run_fleet_stream(&spec, 2).expect("baseline");
-    let baseline_report = baseline.render(&spec);
-    assert_eq!(baseline.tenants_done, 400);
+/// Runs `spec` on two workers and on one, checks the reports are
+/// byte-identical, and returns the fingerprint.
+fn fingerprint_at_jobs_1_and_2(spec: &StreamSpec) -> u64 {
+    let parallel = run_fleet_stream(spec, 2).expect("jobs=2");
+    assert_eq!(parallel.tenants_done, 400);
+    let serial = run_fleet_stream(spec, 1).expect("jobs=1");
+    assert_eq!(serial.render(spec), parallel.render(spec));
+    assert_eq!(serial.fingerprint, parallel.fingerprint);
+    parallel.fingerprint
+}
 
-    // Worker-count invariance on the default engine.
-    let serial = run_fleet_stream(&spec, 1).expect("jobs=1");
-    assert_eq!(serial.render(&spec), baseline_report);
+#[test]
+fn capped_star_campaign_matches_its_golden_fingerprint() {
+    let fp = fingerprint_at_jobs_1_and_2(&spec(true));
+    assert_eq!(fp, 0x3b96_c37f_0878_8e44, "got {fp:#018x}");
+}
 
-    // Fast incremental path.
-    std::env::set_var("FABRIC_EVENT_PATH", "0");
-    let fast = run_fleet_stream(&spec, 2).expect("fast path");
-    assert_eq!(
-        fast.render(&spec),
-        baseline_report,
-        "fast-path report must be byte-identical to the event engine's"
-    );
-    std::env::remove_var("FABRIC_EVENT_PATH");
-
-    // Reference loops (the bit-pinned oracle).
-    std::env::set_var("FABRIC_SLOW_PATH", "1");
-    let reference = run_fleet_stream(&spec, 2).expect("reference path");
-    assert_eq!(
-        reference.render(&spec),
-        baseline_report,
-        "reference-path report must be byte-identical to the event engine's"
-    );
-    std::env::remove_var("FABRIC_SLOW_PATH");
-
-    assert_eq!(baseline.fingerprint, serial.fingerprint);
-    assert_eq!(baseline.fingerprint, fast.fingerprint);
-    assert_eq!(baseline.fingerprint, reference.fingerprint);
+#[test]
+fn uncapped_flat_campaign_matches_its_golden_fingerprint() {
+    let fp = fingerprint_at_jobs_1_and_2(&spec(false));
+    assert_eq!(fp, 0x8467_52ac_a7bc_b099, "got {fp:#018x}");
 }

@@ -14,27 +14,27 @@
 //!
 //! Long campaigns (Figure 19's 600 s depletion sequences, multi-day
 //! fleet sweeps) spend nearly all their time in [`Fabric::step`], so the
-//! fabric keeps **three** engines with bit-identical observable
+//! fabric keeps **two** engines with bit-identical observable
 //! behavior, selected by [`StepPath`]:
 //!
 //! * the **reference path** — the original loop that re-runs
 //!   water-filling from scratch every step, selected with
 //!   [`Fabric::force_reference_path`] or by setting the
 //!   `FABRIC_SLOW_PATH` environment variable;
-//! * the **fast path** (PR 5) — hoists every per-step buffer into
-//!   per-fabric scratch storage (zero steady-state heap allocations),
-//!   maintains per-node active-flow counts incrementally instead of
-//!   rebuilding them every water-filling round, and caches the rate
-//!   allocation keyed by its exact inputs: the flow-set epoch, each
-//!   node's `rate_hint` × fault factor, each node's effective ingress
-//!   cap, and the core capacity. Water-filling is a pure function of
-//!   that signature (it never reads `remaining_bits`), so a bitwise
+//! * the **event-driven path** (default) — its per-step body,
+//!   [`Fabric::step`], hoists every per-step buffer into per-fabric
+//!   scratch storage (zero steady-state heap allocations), maintains
+//!   per-node active-flow counts incrementally instead of rebuilding
+//!   them every water-filling round, and caches the rate allocation
+//!   keyed by its exact inputs: the flow-set epoch, each node's
+//!   `rate_hint` × fault factor, each node's effective ingress cap, and
+//!   the core capacity. Water-filling is a pure function of that
+//!   signature (it never reads `remaining_bits`), so a bitwise
 //!   unchanged signature means the previous allocation can be reused
 //!   verbatim. Token-bucket hints are piecewise-constant, which
-//!   collapses long full-speed and depleted phases to O(nodes) per tick.
-//!   Selected with `FABRIC_EVENT_PATH=0` (or [`Fabric::force_path`]);
-//! * the **event-driven path** (default) — generalizes the signature
-//!   cache from "check every step" to "prove a horizon": batched
+//!   collapses long full-speed and depleted phases to O(nodes) per
+//!   tick. The engine generalizes that cache from "check every step"
+//!   to "prove a horizon": batched
 //!   callers go through [`Fabric::advance`], which min-reduces a
 //!   [`NextEvent`] over per-node state (closed-form
 //!   [`Shaper::hint_stable_steps`] crossings, the fault schedule's next
@@ -45,12 +45,13 @@
 //!   the *identical* per-step floating-point recurrences (demand,
 //!   transmit, scale, deliver, clock) on mirrored state, so it is
 //!   bit-identical by construction — events only bound how long the
-//!   pure *reads* may be skipped, they never replace arithmetic.
+//!   pure *reads* may be skipped, they never replace arithmetic. When
+//!   no window opens, `advance` falls back to the per-step body.
 //!
 //! The equivalence contract is pinned by `tests/prop_fabric_fast.rs`
-//! (fast vs reference) and `tests/prop_event_driven.rs` (event-jumped
-//! vs reference, including adversarial event alignments), and
-//! documented in DESIGN.md §9–10.
+//! (per-step body vs reference) and `tests/prop_event_driven.rs`
+//! (event-jumped vs reference, including adversarial event
+//! alignments), and documented in DESIGN.md §9–10.
 
 use crate::faults::FaultSchedule;
 use crate::rng::SimRng;
@@ -59,8 +60,8 @@ use crate::shaper::Shaper;
 /// Index of a node in the fabric.
 pub type NodeId = usize;
 
-/// Which stepping engine the fabric runs (see the module docs). All
-/// three are bit-identical in every observable; they differ only in
+/// Which stepping engine the fabric runs (see the module docs). Both
+/// are bit-identical in every observable; they differ only in
 /// wall-clock cost, which is what `benches/supp_fabric_speedup` and
 /// `scripts/verify.sh` measure and cross-check.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -68,9 +69,6 @@ pub enum StepPath {
     /// Event-driven engine (default): [`Fabric::advance`] jumps between
     /// provable events instead of re-validating the rate cache per step.
     Event,
-    /// The PR-5 scratch-buffer fast path: per-step signature checks,
-    /// zero steady-state allocations. `FABRIC_EVENT_PATH=0`.
-    Fast,
     /// The original allocating loops, kept verbatim as the equivalence
     /// baseline. `FABRIC_SLOW_PATH=1` or [`Fabric::force_reference_path`].
     Reference,
@@ -489,10 +487,6 @@ pub struct Fabric<S> {
     perf: FabricPerf,
     /// The active stepping engine (see [`StepPath`]).
     path: StepPath,
-    /// The non-reference engine this fabric gates back to when
-    /// [`Fabric::force_reference_path`] releases the reference loops
-    /// (`Event` by default, `Fast` under `FABRIC_EVENT_PATH=0`).
-    gated_path: StepPath,
 }
 
 impl<S: Shaper> Default for Fabric<S> {
@@ -503,18 +497,11 @@ impl<S: Shaper> Default for Fabric<S> {
 
 impl<S: Shaper> Fabric<S> {
     /// An empty fabric at t=0. The event-driven engine is on by
-    /// default; `FABRIC_EVENT_PATH=0` gates back to the PR-5 fast path,
-    /// and `FABRIC_SLOW_PATH` (set to anything but `0`) forces the
-    /// reference loops for A/B verification. The three are
-    /// bit-identical in every observable.
+    /// default; `FABRIC_SLOW_PATH` (set to anything but `0`) forces the
+    /// reference loops for A/B verification. The two are bit-identical
+    /// in every observable.
     pub fn new() -> Self {
         let slow = std::env::var_os("FABRIC_SLOW_PATH").is_some_and(|v| v != "0");
-        let no_event = std::env::var_os("FABRIC_EVENT_PATH").is_some_and(|v| v == "0");
-        let gated = if no_event {
-            StepPath::Fast
-        } else {
-            StepPath::Event
-        };
         Fabric {
             nodes: Vec::new(),
             flows: FlowMap::default(),
@@ -531,25 +518,29 @@ impl<S: Shaper> Fabric<S> {
             active_link: Vec::new(),
             scratch: StepScratch::default(),
             perf: FabricPerf::default(),
-            path: if slow { StepPath::Reference } else { gated },
-            gated_path: gated,
+            path: if slow {
+                StepPath::Reference
+            } else {
+                StepPath::Event
+            },
         }
     }
 
     /// Force (or release) the original allocating stepping loops. The
     /// paths are bit-identical — this exists so tests, benches, and
-    /// `verify.sh` can prove it. Releasing returns to the environment's
-    /// non-reference engine (event-driven unless `FABRIC_EVENT_PATH=0`).
+    /// `verify.sh` can prove it. Releasing returns to the event-driven
+    /// engine.
     pub fn force_reference_path(&mut self, on: bool) {
-        self.path = if on { StepPath::Reference } else { self.gated_path };
+        self.path = if on {
+            StepPath::Reference
+        } else {
+            StepPath::Event
+        };
     }
 
-    /// Select a stepping engine explicitly (the three-way gate).
+    /// Select a stepping engine explicitly.
     pub fn force_path(&mut self, path: StepPath) {
         self.path = path;
-        if path != StepPath::Reference {
-            self.gated_path = path;
-        }
     }
 
     /// The active stepping engine.
@@ -1295,13 +1286,13 @@ impl<S: Shaper> Fabric<S> {
     /// On the event-driven path (the default) this is where stepping
     /// cost collapses: idle stretches batch through [`Shaper::rest`],
     /// and busy stretches run the event kernel ([`Fabric::next_event`]
-    /// horizon + struct-of-arrays stepping). On the fast and reference
-    /// paths it is the literal per-step loop, so the three-way
-    /// equivalence gate covers batched callers identically.
+    /// horizon + struct-of-arrays stepping). On the reference path it
+    /// is the literal per-step loop, so the equivalence gate covers
+    /// batched callers identically.
     pub fn advance(&mut self, dt: f64, max_steps: u64, completed: &mut Vec<FlowId>) -> u64 {
         assert!(dt > 0.0, "step must be positive");
         let mut taken = 0u64;
-        if self.path != StepPath::Event {
+        if self.path == StepPath::Reference {
             while taken < max_steps {
                 let done = self.step(dt);
                 taken += 1;
@@ -2130,7 +2121,7 @@ mod tests {
     }
 
     #[test]
-    fn linked_fabric_is_bit_identical_across_all_three_paths() {
+    fn linked_fabric_is_bit_identical_on_event_and_reference_paths() {
         let run = |path: StepPath| {
             let mut f: Fabric<TokenBucket> = Fabric::new();
             for _ in 0..6 {
@@ -2169,10 +2160,8 @@ mod tests {
             (sig, f.active_flows())
         };
         let ev = run(StepPath::Event);
-        let fast = run(StepPath::Fast);
         let slow = run(StepPath::Reference);
-        assert_eq!(ev, fast, "event vs fast diverged on a linked fabric");
-        assert_eq!(fast, slow, "fast vs reference diverged on a linked fabric");
+        assert_eq!(ev, slow, "event vs reference diverged on a linked fabric");
     }
 
     #[test]

@@ -139,13 +139,11 @@ fn resting_is_allocation_free() {
 /// The event engine's steady-state jumps must be allocation-free too:
 /// the window kernel works entirely in the pre-grown struct-of-arrays
 /// mirrors (`ev_src`/`ev_rem`/wants/runs) and the caller's completion
-/// buffer. Fast-path stepping and event-path jumping are measured in
-/// **independent counter epochs** on the *same* fabric — each path is
+/// buffer. Per-step stepping and event jumping are measured in
+/// **independent counter epochs** on the *same* fabric — each is
 /// warmed and judged on its own, so neither can mask the other.
 #[test]
 fn event_jump_steady_state_is_allocation_free() {
-    use netsim::fabric::StepPath;
-
     let mut fabric: Fabric<Box<dyn Shaper + Send>> = Fabric::new();
     for v in 0..8 {
         if v % 2 == 0 {
@@ -161,23 +159,21 @@ fn event_jump_steady_state_is_allocation_free() {
     }
     let mut done = Vec::with_capacity(16);
 
-    // Epoch 1: fast path. Warm inside the path, measure inside the path.
-    fabric.force_path(StepPath::Fast);
-    for _ in 0..50 {
-        fabric.advance(0.1, 4, &mut done);
+    // Epoch 1: per-step stepping. Warm inside the epoch, measure inside
+    // the epoch.
+    for _ in 0..200 {
+        fabric.step(0.1);
     }
     let fast_allocs = measured(|| {
-        for _ in 0..250 {
-            fabric.advance(0.1, 4, &mut done);
-            assert!(done.is_empty(), "steady flows must not complete");
+        for _ in 0..1000 {
+            assert!(fabric.step(0.1).is_empty(), "steady flows must not complete");
         }
     });
-    assert_eq!(fast_allocs, 0, "fast-path advance allocated {fast_allocs} times");
+    assert_eq!(fast_allocs, 0, "per-step stepping allocated {fast_allocs} times");
 
-    // Epoch 2: event path on the same fabric. Its warm-up (growing the
+    // Epoch 2: event jumps on the same fabric. Its warm-up (growing the
     // struct-of-arrays mirrors to the high-water mark) happens inside
-    // this epoch's warm-up phase, not under the fast path's counter.
-    fabric.force_path(StepPath::Event);
+    // this epoch's warm-up phase, not under the per-step counter.
     for _ in 0..50 {
         fabric.advance(0.1, 64, &mut done);
     }

@@ -1,10 +1,7 @@
 //! Property suite for the topology subsystem (DESIGN.md §12).
 //!
-//! Four contracts, each driven with randomized inputs:
+//! Three contracts, each driven with randomized inputs:
 //!
-//! * the optimized water-filling allocator ([`WaterFill`]) is
-//!   **bit-identical** to the brute-force reference on arbitrary
-//!   problems, and its signature cache serves bitwise-equal rates;
 //! * ECMP routing is a pure function of `(topology, seed)`: rebuilt
 //!   routers replay the same paths and per-label choices, and every
 //!   choice stays within the equal-cost shortest-path set;
@@ -19,57 +16,7 @@ use netsim::fabric::{Fabric, FlowId, FlowSpec};
 use netsim::rng::SimRng;
 use netsim::shaper::StaticShaper;
 use proplite::prelude::*;
-use topo::{
-    allocate_reference, from_cluster_json, to_cluster_json, AllocFlow, AllocProblem, EcmpRouter,
-    Topology, WaterFill, Wiring,
-};
-
-/// A random allocation problem: mixed finite/infinite node and link
-/// capacities, optional core cap, flows with random (valid) routes.
-fn random_problem(seed: u64) -> (AllocProblem, Vec<AllocFlow>) {
-    let mut rng = SimRng::new(seed);
-    let n_nodes = 2 + rng.index(6);
-    let n_links = rng.index(5);
-    let cap = |rng: &mut SimRng| {
-        if rng.chance(0.2) {
-            f64::INFINITY
-        } else {
-            rng.uniform_in(1e8, 2e10)
-        }
-    };
-    let p = AllocProblem {
-        egress_bps: (0..n_nodes).map(|_| cap(&mut rng)).collect(),
-        ingress_bps: (0..n_nodes).map(|_| cap(&mut rng)).collect(),
-        link_bps: (0..2 * n_links).map(|_| cap(&mut rng)).collect(),
-        core_bps: if rng.chance(0.4) {
-            Some(rng.uniform_in(1e9, 5e10))
-        } else {
-            None
-        },
-    };
-    let n_flows = 1 + rng.index(10);
-    let flows = (0..n_flows)
-        .map(|_| {
-            let src = rng.index(n_nodes);
-            let dst = rng.index(n_nodes);
-            let hops = if n_links == 0 { 0 } else { rng.index(4) };
-            let slots: Vec<u32> = (0..hops)
-                .map(|_| rng.index(2 * n_links) as u32)
-                .collect();
-            AllocFlow {
-                src,
-                dst,
-                route: netsim::LinkRoute::new(&slots),
-                cap_bps: if rng.chance(0.3) {
-                    rng.uniform_in(1e8, 5e9)
-                } else {
-                    f64::INFINITY
-                },
-            }
-        })
-        .collect();
-    (p, flows)
-}
+use topo::{from_cluster_json, to_cluster_json, EcmpRouter, Topology, Wiring};
 
 /// A random multi-tier topology from the zoo, varied in family and
 /// size by `seed`.
@@ -82,27 +29,8 @@ fn random_tiered_topology(seed: u64) -> Topology {
     }
 }
 
-fn bits(xs: &[f64]) -> Vec<u64> {
-    xs.iter().map(|x| x.to_bits()).collect()
-}
-
 prop_cases! {
     #![config(Config::with_cases(48))]
-
-    /// Optimized allocator vs brute-force reference, bitwise, plus a
-    /// cache-hit replay of the same inputs.
-    #[test]
-    fn waterfill_matches_the_brute_force_reference_bitwise(seed in 0u64..1_000_000) {
-        let (p, flows) = random_problem(seed);
-        let want = allocate_reference(&p, &flows).unwrap();
-        let mut wf = WaterFill::new();
-        let got = wf.allocate(&p, &flows).unwrap().to_vec();
-        prop_assert_eq!(bits(&want), bits(&got), "fixpoint diverged (seed {seed})");
-        // Bitwise-identical inputs must be a cache hit with the same rates.
-        let again = wf.allocate(&p, &flows).unwrap().to_vec();
-        prop_assert_eq!(bits(&got), bits(&again), "cached rates diverged");
-        prop_assert_eq!((wf.recomputes, wf.cache_hits), (1, 1), "cache did not engage");
-    }
 
     /// ECMP: a rebuilt router replays identical paths and identical
     /// per-label choices, and every routed choice is in the path set.

@@ -267,7 +267,7 @@ fn cmd_fleet_journaled(
     let resume = flags.contains_key("resume");
     let verify = get_u64(flags, "verify-resume", 2)? as usize;
     let kill_after = get_u64(flags, "kill-after", 0)?;
-    // Group commit: one durable journal write per k settled shards.
+    // Group commit: one journal write per k settled shards.
     // Contents are unchanged; a crash loses at most the open group.
     let group = get_u64(flags, "checkpoint-every", 1)?.max(1) as usize;
     let spec = measure::FleetSpec {
@@ -373,16 +373,10 @@ fn cmd_run(flags: &BTreeMap<String, String>) -> Result<(), String> {
     let nodes = get_u64(flags, "nodes", 12)? as usize;
     let seed = get_u64(flags, "seed", 1)?;
     // A/B escape hatch: pick the fabric's stepping engine explicitly.
-    // All three paths are bit-identical; output must not change.
-    // `--reference-fabric` is kept as a shorthand for
-    // `--fabric-path reference`.
-    let path = if flags.contains_key("reference-fabric") {
-        netsim::StepPath::Reference
-    } else {
-        match flags.get("fabric-path") {
-            Some(name) => fabric_path_by_name(name)?,
-            None => netsim::StepPath::Event,
-        }
+    // Both paths are bit-identical; output must not change.
+    let path = match flags.get("fabric-path") {
+        Some(name) => fabric_path_by_name(name)?,
+        None => netsim::StepPath::Event,
     };
     // A flat topology is byte-identical to passing no `--topology` at
     // all (the flat-equivalence contract, DESIGN.md §12); verify.sh
@@ -399,7 +393,6 @@ fn cmd_run(flags: &BTreeMap<String, String>) -> Result<(), String> {
         cloud.instance_type,
         match path {
             netsim::StepPath::Event => "",
-            netsim::StepPath::Fast => " [fast fabric path]",
             netsim::StepPath::Reference => " [reference fabric path]",
         },
         match &topology {
@@ -463,21 +456,13 @@ fn cmd_plan(flags: &BTreeMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-/// `cloud-repro detlint [--root DIR] [--json] [--no-cache]` — run the
-/// determinism & hermeticity linter (token, dataflow, and call-graph
-/// rules) over the workspace. Uses the incremental facts cache at
-/// `<root>/target/detlint-cache` unless `--no-cache`. Returns
-/// `Ok(true)` when the gate is clean (no deny-tier findings).
+/// `cloud-repro detlint [--root DIR] [--json]` — run the determinism
+/// & hermeticity linter (token, dataflow, and call-graph rules) over
+/// the workspace. Returns `Ok(true)` when the gate is clean (no
+/// deny-tier findings).
 fn cmd_detlint(flags: &BTreeMap<String, String>) -> Result<bool, String> {
     let root = std::path::Path::new(flags.get("root").map(|s| s.as_str()).unwrap_or("."));
-    let findings = if flags.contains_key("no-cache") {
-        detlint::lint_workspace(root).map_err(|e| e.to_string())?
-    } else {
-        let cache_dir = root.join("target").join("detlint-cache");
-        detlint::lint_workspace_cached(root, &cache_dir)
-            .map_err(|e| e.to_string())?
-            .findings
-    };
+    let findings = detlint::lint_workspace(root).map_err(|e| e.to_string())?;
     if flags.contains_key("json") {
         print!("{}", detlint::render_json_lines(&findings));
     } else {
@@ -514,7 +499,7 @@ fn usage() {
     println!("  list                               clouds, workloads, patterns");
     println!("  campaign --cloud C [--pattern P] [--hours H] [--seed S]");
     println!("        [--tenants N]   streaming campaign: N seed-derived tenant pairs folded");
-    println!("        into O(1) sketch state; report bytes invariant to workers and engine;");
+    println!("        into O(1) sketch state; report bytes invariant to the worker count;");
     println!("        [--faults] reference faults; [--topology T] [--hosts N]");
     println!("        [--placement-seed S] per-tenant path ceilings; [--self-check] cross-");
     println!("        check sketch vs exact quantiles; [--journal PATH] [--resume]");
@@ -528,12 +513,12 @@ fn usage() {
     println!("        [--checkpoint-every K] group-commit one journal write per K shards");
     println!("  probe --cloud C [--probes N] [--max-seconds T]");
     println!("  fingerprint --cloud C [--bucket]");
-    println!("  run --cloud C --workload W [--reps N] [--nodes N] [--fabric-path event|fast|reference]");
+    println!("  run --cloud C --workload W [--reps N] [--nodes N] [--fabric-path event|reference]");
     println!("      [--topology T] [--placement-seed S]   place nodes on a datacenter");
     println!("      topology with ECMP spreading; re-placed per repetition");
     println!("  plan --cloud C --workload W [--pilot N] [--target FRAC]");
     println!("  survey");
-    println!("  detlint [--root DIR] [--json] [--no-cache]  lint against the determinism contract");
+    println!("  detlint [--root DIR] [--json]      lint against the determinism contract");
     println!();
     println!("global flags:");
     println!("  --jobs N    parallel workers (default: REPRO_JOBS env, then all");
