@@ -13,17 +13,17 @@
 //! ## Durability model
 //!
 //! The guarantee covers **process crashes** (SIGKILL, OOM kill,
-//! preemption), not power loss or kernel crashes. Every append rewrites
-//! the whole journal image to `<path>.tmp` and atomically renames it
-//! over `<path>`. If the process dies during the write, the previous
-//! image is intact; if it dies during the rename, the file is either
-//! the old or the new image, never a mix. Nothing calls `sync_all` or
-//! `sync_data`: written bytes sit in the OS page cache, which survives
-//! the death of the process but not of the machine, so a power loss
-//! can lose or reorder the last writes. Records are additionally length-prefixed and checksummed, so even a
-//! journal produced by a non-atomic writer (or a corrupted disk) opens
-//! safely: the longest valid record prefix is kept and the torn tail is
-//! discarded — [`OpenReport::truncated_bytes`] says how much.
+//! preemption), not power loss or kernel crashes. Every append writes
+//! one framed record at the end of the file's valid prefix with a
+//! single `write_all` and returns only once the bytes are in the file,
+//! so a reader (or a crash) after `append` returns sees the record.
+//! Records are length-prefixed and checksummed: if the process dies
+//! mid-write, the file ends in a torn record, which the next open
+//! discards ([`OpenReport::truncated_bytes`] says how much) and the
+//! next append truncates away before it writes. Opening never writes.
+//! Nothing calls `sync_all` or `sync_data`: written bytes sit in the
+//! OS page cache, which survives the death of the process but not of
+//! the machine, so a power loss can lose or reorder the last writes.
 //!
 //! ## Binary format
 //!
@@ -42,7 +42,8 @@
 //! resume-verification to re-check journaled shards bit for bit.
 
 use std::fmt;
-use std::fs;
+use std::fs::{self, File, OpenOptions};
+use std::io::{self, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 /// Magic bytes opening every journal file (name + format version).
@@ -84,7 +85,7 @@ pub struct JournalRecord {
 /// Why a journal could not be opened or written.
 #[derive(Debug)]
 pub enum JournalError {
-    /// Filesystem trouble (read, write, or rename).
+    /// Filesystem trouble (create, read, truncate or write).
     Io {
         /// Path the operation touched.
         path: PathBuf,
@@ -148,9 +149,9 @@ impl std::error::Error for JournalError {
 pub struct OpenReport {
     /// Records recovered.
     pub records: usize,
-    /// Bytes of torn/corrupt tail discarded (0 for a clean file). The
-    /// discarded bytes are gone from the in-memory image; the next
-    /// append rewrites the file without them.
+    /// Bytes of torn/corrupt tail discarded (0 for a clean file).
+    /// `open` leaves them on disk; the next append truncates the file
+    /// to its valid prefix before it writes.
     pub truncated_bytes: usize,
 }
 
@@ -160,38 +161,44 @@ pub struct Journal {
     path: PathBuf,
     config_fingerprint: u64,
     records: Vec<JournalRecord>,
-    /// The serialized on-disk image (header + all valid records).
-    image: Vec<u8>,
-    /// Records appended to the in-memory image but not yet persisted
-    /// (see [`Journal::append_deferred`] / [`Journal::flush`]).
-    pending: usize,
+    /// Length of the file's valid prefix: the header plus every record
+    /// in `records`. Appends land here.
+    valid_len: u64,
+    /// Write handle positioned at `valid_len`. `None` after an open
+    /// (which never writes) and after a failed write; the next append
+    /// then reopens the file and truncates it to `valid_len` first.
+    file: Option<File>,
 }
 
 impl Journal {
     /// Create a fresh journal at `path` for the given campaign config.
     /// Refuses to overwrite an existing file ([`JournalError::AlreadyExists`]).
     pub fn create(path: &Path, config_fingerprint: u64) -> Result<Journal, JournalError> {
-        if path.exists() {
-            return Err(JournalError::AlreadyExists { path: path.to_path_buf() });
-        }
-        let mut image = Vec::with_capacity(HEADER_LEN);
-        image.extend_from_slice(&MAGIC);
-        image.extend_from_slice(&config_fingerprint.to_le_bytes());
-        let j = Journal {
+        let io_err = |cause| JournalError::Io { path: path.to_path_buf(), cause };
+        let mut file = match OpenOptions::new().write(true).create_new(true).open(path) {
+            Ok(f) => f,
+            Err(e) if e.kind() == io::ErrorKind::AlreadyExists => {
+                return Err(JournalError::AlreadyExists { path: path.to_path_buf() })
+            }
+            Err(e) => return Err(io_err(e)),
+        };
+        let mut header = [0u8; HEADER_LEN];
+        header[..8].copy_from_slice(&MAGIC);
+        header[8..].copy_from_slice(&config_fingerprint.to_le_bytes());
+        file.write_all(&header).map_err(io_err)?;
+        Ok(Journal {
             path: path.to_path_buf(),
             config_fingerprint,
             records: Vec::new(),
-            image,
-            pending: 0,
-        };
-        j.persist()?;
-        Ok(j)
+            valid_len: HEADER_LEN as u64,
+            file: Some(file),
+        })
     }
 
     /// Open an existing journal, requiring its config fingerprint to
     /// match `expected_config`. A torn final write is detected by the
-    /// length prefix / checksum and truncated; how much was dropped is
-    /// reported in [`OpenReport`].
+    /// length prefix / checksum and skipped; how much was dropped is
+    /// reported in [`OpenReport`]. The file is not modified.
     pub fn open(path: &Path, expected_config: u64) -> Result<(Journal, OpenReport), JournalError> {
         let (j, report) = Journal::open_unchecked(path)?;
         if j.config_fingerprint != expected_config {
@@ -222,91 +229,54 @@ impl Journal {
         // Anything from the first unparseable position onward is a torn
         // or corrupt tail: drop it. Records are never resynchronized
         // past a bad one — the journal is a *prefix* log.
-        loop {
-            match parse_record(&bytes, at) {
-                Some((rec, next)) => {
-                    records.push(rec);
-                    at = next;
-                }
-                None => break,
-            }
+        while let Some((rec, next)) = parse_record(&bytes, at) {
+            records.push(rec);
+            at = next;
         }
-        let truncated_bytes = bytes.len() - at;
-        let image = bytes[..at].to_vec();
-        let n_records = records.len();
+        let report = OpenReport { records: records.len(), truncated_bytes: bytes.len() - at };
         Ok((
             Journal {
                 path: path.to_path_buf(),
                 config_fingerprint,
                 records,
-                image,
-                pending: 0,
+                valid_len: at as u64,
+                file: None,
             },
-            OpenReport { records: n_records, truncated_bytes },
+            report,
         ))
     }
 
-    /// Append one completed work unit and write it to the file before
-    /// returning: the new image is written to `<path>.tmp` and renamed
-    /// over `<path>`, so a process crash at any instant leaves a valid
-    /// journal holding either `n` or `n+1` records. Not fsynced; see
-    /// the crate docs' durability model.
+    /// Append one completed work unit: one write of the framed record
+    /// at the end of the file's valid prefix, in the file before this
+    /// returns. The first append after an open truncates a torn tail
+    /// away first. On error the record is not added and the next
+    /// append truncates back to the valid prefix, so a record never
+    /// lands after garbage. Not fsynced; see the crate docs'
+    /// durability model.
     pub fn append(&mut self, record: JournalRecord) -> Result<(), JournalError> {
-        self.append_deferred(record);
-        self.flush()
-    }
-
-    /// Append one record to the in-memory image **without** persisting
-    /// it — the group-commit half of [`Journal::append`]. Deferred
-    /// records reach the file only at the next [`Journal::flush`] (or
-    /// `append`); a crash before then loses exactly the
-    /// deferred suffix and nothing else, because the on-disk file still
-    /// holds the last flushed image. Batching k appends per flush turns
-    /// the O(N) tmp+rename writes of a journaled campaign into O(N/k)
-    /// with unchanged torn-tail semantics.
-    pub fn append_deferred(&mut self, record: JournalRecord) {
-        let mut body = Vec::with_capacity(BODY_FIXED_LEN + record.payload.len());
-        body.extend_from_slice(&record.shard.to_le_bytes());
-        body.extend_from_slice(&record.seed.to_le_bytes());
-        body.extend_from_slice(&record.fingerprint.to_le_bytes());
-        body.extend_from_slice(&(record.payload.len() as u32).to_le_bytes());
-        body.extend_from_slice(&record.payload);
-        self.image.extend_from_slice(&(body.len() as u32).to_le_bytes());
-        let crc = fingerprint64(&body);
-        self.image.extend_from_slice(&body);
-        self.image.extend_from_slice(&crc.to_le_bytes());
+        let written = encode_record(&record)
+            .and_then(|frame| self.write_at_tail(&frame).map(|()| frame.len()));
+        let len = written.map_err(|cause| JournalError::Io { path: self.path.clone(), cause })?;
+        self.valid_len += len as u64;
         self.records.push(record);
-        self.pending += 1;
-    }
-
-    /// Number of records appended but not yet persisted.
-    pub fn pending(&self) -> usize {
-        self.pending
-    }
-
-    /// Persist all deferred records in one tmp+rename write. A no-op
-    /// when nothing is pending, so callers can flush defensively at
-    /// group boundaries and on completion.
-    pub fn flush(&mut self) -> Result<(), JournalError> {
-        if self.pending == 0 {
-            return Ok(());
-        }
-        self.persist()?;
-        self.pending = 0;
         Ok(())
     }
 
-    /// Write the current image via temp file + atomic rename.
-    fn persist(&self) -> Result<(), JournalError> {
-        let tmp = tmp_path(&self.path);
-        fs::write(&tmp, &self.image).map_err(|cause| JournalError::Io {
-            path: tmp.clone(),
-            cause,
-        })?;
-        fs::rename(&tmp, &self.path).map_err(|cause| JournalError::Io {
-            path: self.path.clone(),
-            cause,
-        })
+    /// Write `frame` at `valid_len`. The handle is taken out for the
+    /// write and put back only on success, so a failed write drops it.
+    fn write_at_tail(&mut self, frame: &[u8]) -> io::Result<()> {
+        let mut file = match self.file.take() {
+            Some(f) => f,
+            None => {
+                let mut f = OpenOptions::new().write(true).open(&self.path)?;
+                f.set_len(self.valid_len)?;
+                f.seek(SeekFrom::Start(self.valid_len))?;
+                f
+            }
+        };
+        file.write_all(frame)?;
+        self.file = Some(file);
+        Ok(())
     }
 
     /// All recovered/appended records, in append order.
@@ -341,13 +311,6 @@ impl Journal {
     }
 }
 
-/// `<path>.tmp` sibling used for the atomic-rename dance.
-fn tmp_path(path: &Path) -> PathBuf {
-    let mut os = path.as_os_str().to_os_string();
-    os.push(".tmp");
-    PathBuf::from(os)
-}
-
 /// Little-endian u64 at `at` (caller guarantees bounds).
 fn read_u64(bytes: &[u8], at: usize) -> u64 {
     let mut b = [0u8; 8];
@@ -360,6 +323,24 @@ fn read_u32(bytes: &[u8], at: usize) -> u32 {
     let mut b = [0u8; 4];
     b.copy_from_slice(&bytes[at..at + 4]);
     u32::from_le_bytes(b)
+}
+
+/// Frame one record: body length, body, checksum of the body. Fails on
+/// a body too long for its `u32` length prefix.
+fn encode_record(record: &JournalRecord) -> io::Result<Vec<u8>> {
+    let body_len = u32::try_from(BODY_FIXED_LEN + record.payload.len()).map_err(|_| {
+        io::Error::new(io::ErrorKind::InvalidInput, "record exceeds the u32 length prefix")
+    })?;
+    let mut frame = Vec::with_capacity(4 + body_len as usize + 8);
+    frame.extend_from_slice(&body_len.to_le_bytes());
+    frame.extend_from_slice(&record.shard.to_le_bytes());
+    frame.extend_from_slice(&record.seed.to_le_bytes());
+    frame.extend_from_slice(&record.fingerprint.to_le_bytes());
+    frame.extend_from_slice(&(body_len - BODY_FIXED_LEN as u32).to_le_bytes());
+    frame.extend_from_slice(&record.payload);
+    let crc = fingerprint64(&frame[4..]);
+    frame.extend_from_slice(&crc.to_le_bytes());
+    Ok(frame)
 }
 
 /// Parse one record starting at `at`. `None` when the bytes from `at`
@@ -462,11 +443,14 @@ mod tests {
         j.append(rec(1, b"beta")).unwrap();
         let full = fs::read(&path).unwrap();
         // Tear 5 bytes off the final record.
-        fs::write(&path, &full[..full.len() - 5]).unwrap();
+        let torn = &full[..full.len() - 5];
+        fs::write(&path, torn).unwrap();
         let (re, report) = Journal::open(&path, 3).unwrap();
         assert_eq!(re.len(), 1);
         assert_eq!(re.records()[0], rec(0, b"alpha"));
         assert!(report.truncated_bytes > 0);
+        // Opening is read-only: the torn tail stays until an append.
+        assert_eq!(fs::read(&path).unwrap(), torn);
         // Appending after recovery heals the file.
         let mut re = re;
         re.append(rec(1, b"beta2")).unwrap();
@@ -523,48 +507,38 @@ mod tests {
     }
 
     #[test]
-    fn deferred_appends_are_invisible_until_flush() {
-        let path = temp_file("deferred");
+    fn failed_append_leaves_the_journal_unchanged_and_heals_after() {
+        let path = temp_file("failwrite");
+        let aside = temp_file("failwrite_aside");
         let _ = fs::remove_file(&path);
-        let mut j = Journal::create(&path, 5).unwrap();
-        j.append(rec(0, b"durable")).unwrap();
-        j.append_deferred(rec(1, b"in flight"));
-        j.append_deferred(rec(2, b"also in flight"));
-        assert_eq!(j.pending(), 2);
-        assert_eq!(j.len(), 3, "deferred records are visible in memory");
-        // A reader (or a crash) at this instant sees only the flushed
-        // prefix — exactly the group-commit durability contract.
-        let (snap, _) = Journal::open(&path, 5).unwrap();
-        assert_eq!(snap.len(), 1);
-        j.flush().unwrap();
-        assert_eq!(j.pending(), 0);
-        let (re, report) = Journal::open(&path, 5).unwrap();
-        assert_eq!(report.truncated_bytes, 0);
-        assert_eq!(re.records(), j.records());
-        fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn grouped_and_per_record_appends_produce_identical_files() {
-        let pa = temp_file("grouped_a");
-        let pb = temp_file("grouped_b");
-        let _ = fs::remove_file(&pa);
-        let _ = fs::remove_file(&pb);
-        let mut a = Journal::create(&pa, 9).unwrap();
-        let mut b = Journal::create(&pb, 9).unwrap();
-        for i in 0..7u64 {
-            a.append(rec(i, &vec![i as u8; 5])).unwrap();
-            b.append_deferred(rec(i, &vec![i as u8; 5]));
-            if i % 3 == 2 {
-                b.flush().unwrap();
-            }
+        let _ = fs::remove_file(&aside);
+        let mut j = Journal::create(&path, 6).unwrap();
+        j.append(rec(0, b"one")).unwrap();
+        j.append(rec(1, b"two")).unwrap();
+        drop(j);
+        // A torn tail longer than the record that replaces it, so a
+        // missing truncation would leave garbage after the new record.
+        let mut bytes = fs::read(&path).unwrap();
+        bytes.extend_from_slice(&[0xAB; 64]);
+        fs::write(&path, &bytes).unwrap();
+        let (mut j, report) = Journal::open(&path, 6).unwrap();
+        assert_eq!(report.truncated_bytes, 64);
+        // A directory at the journal's path makes the write fail.
+        fs::rename(&path, &aside).unwrap();
+        fs::create_dir(&path).unwrap();
+        match j.append(rec(2, b"lost")) {
+            Err(JournalError::Io { .. }) => {}
+            other => panic!("expected Io, got {other:?}"),
         }
-        b.flush().unwrap();
-        assert_eq!(fs::read(&pa).unwrap(), fs::read(&pb).unwrap());
-        // Idempotent: flushing with nothing pending rewrites nothing.
-        b.flush().unwrap();
-        fs::remove_file(&pa).unwrap();
-        fs::remove_file(&pb).unwrap();
+        assert_eq!(j.len(), 2, "a failed append must not add the record");
+        fs::remove_dir(&path).unwrap();
+        fs::rename(&aside, &path).unwrap();
+        j.append(rec(2, b"three")).unwrap();
+        let (re, report) = Journal::open(&path, 6).unwrap();
+        assert_eq!(report, OpenReport { records: 3, truncated_bytes: 0 });
+        assert_eq!(re.records(), j.records());
+        assert_eq!(re.records()[2], rec(2, b"three"));
+        fs::remove_file(&path).unwrap();
     }
 
     #[test]

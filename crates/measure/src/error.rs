@@ -126,6 +126,17 @@ impl fmt::Display for MeasureError {
 
 impl std::error::Error for MeasureError {}
 
+impl From<journal::JournalError> for MeasureError {
+    fn from(e: journal::JournalError) -> Self {
+        match e {
+            journal::JournalError::ConfigMismatch { expected, found } => {
+                MeasureError::ResumeConfigMismatch { expected, found }
+            }
+            other => MeasureError::JournalFailed { detail: other.to_string() },
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

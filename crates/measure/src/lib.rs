@@ -59,8 +59,8 @@ pub use probe::{
 };
 pub use rest::RestPlanner;
 pub use resume::{
-    run_fleet_journaled, run_fleet_journaled_grouped, run_fleet_journaled_with, FleetSpec,
-    JournaledFleet, ResumeStats, SupervisePolicy, SupervisionStats,
+    run_fleet_journaled, run_fleet_journaled_with, FleetSpec, JournaledFleet, ResumeStats,
+    SupervisePolicy, SupervisionStats,
 };
 pub use stream::{
     run_fleet_stream, run_fleet_stream_journaled, JournaledStream, SelfCheckReport,

@@ -40,7 +40,7 @@ use crate::error::MeasureError;
 use crate::wire::{decode_outcome, encode_outcome, ShardOutcome, ShardSim};
 use clouds::CloudProfile;
 use exec::{RetryAccountant, StepBudget};
-use journal::{fingerprint64, Journal, JournalError, JournalRecord};
+use journal::{fingerprint64, Journal, JournalRecord};
 use netsim::pattern::TrafficPattern;
 use netsim::rng::{derive_seed, SimRng};
 use std::collections::BTreeMap;
@@ -231,47 +231,10 @@ pub fn run_fleet_journaled_with(
     resume: bool,
     verify_sample: usize,
     jobs: usize,
-    on_journaled: impl FnMut(u64),
-) -> Result<JournaledFleet, MeasureError> {
-    run_fleet_journaled_grouped(spec, journal_path, resume, verify_sample, jobs, 1, on_journaled)
-}
-
-/// [`run_fleet_journaled_with`] with **group commit**: settled shards
-/// are appended to the in-memory journal image immediately, but the
-/// tmp+rename persist runs once per `checkpoint_every` shards (and once
-/// at the end) instead of once per shard. At 10⁵+ shards the per-record
-/// rename is the campaign's bottleneck — group commit makes journaling
-/// O(N/k) writes while keeping every other invariant:
-///
-/// * **Torn-tail semantics unchanged** — each flush writes a fully
-///   valid image atomically; a kill between flushes loses at most the
-///   current group (the disk always holds the last full group, and
-///   resume recomputes exactly the lost shards).
-/// * **Record sequence unchanged** — the journal bytes are identical to
-///   a `checkpoint_every = 1` run's once both complete; only the number
-///   of intermediate durable states differs.
-/// * `on_journaled(n)` now fires per *flush* with the durable record
-///   count (with `checkpoint_every = 1` that is per append, exactly the
-///   old contract).
-///
-/// `checkpoint_every = 0` is treated as 1 (every shard durable).
-pub fn run_fleet_journaled_grouped(
-    spec: &FleetSpec,
-    journal_path: &Path,
-    resume: bool,
-    verify_sample: usize,
-    jobs: usize,
-    checkpoint_every: usize,
     mut on_journaled: impl FnMut(u64),
 ) -> Result<JournaledFleet, MeasureError> {
-    let group = checkpoint_every.max(1);
     let config_fp = spec.config_fingerprint();
-    let (mut jnl, resumed, truncated_bytes) = if resume && journal_path.exists() {
-        let (j, rep) = Journal::open(journal_path, config_fp).map_err(map_journal_err)?;
-        (j, true, rep.truncated_bytes)
-    } else {
-        (Journal::create(journal_path, config_fp).map_err(map_journal_err)?, false, 0)
-    };
+    let (mut jnl, resumed, truncated_bytes) = open_journal(journal_path, config_fp, resume)?;
 
     // Decode what the journal already holds (last record per shard
     // wins; a record for a shard outside the spec can only appear if
@@ -316,22 +279,13 @@ pub fn run_fleet_journaled_grouped(
             let payload = encode_outcome(out);
             let fingerprint = fingerprint64(&payload);
             let seed = final_attempt_seed(spec, shard, out.retries);
-            jnl.append_deferred(JournalRecord { shard: shard as u64, seed, fingerprint, payload });
-            if jnl.pending() >= group {
-                jnl.flush().map_err(map_journal_err)?;
-                on_journaled(jnl.len() as u64);
-            }
+            jnl.append(JournalRecord { shard: shard as u64, seed, fingerprint, payload })?;
+            on_journaled(jnl.len() as u64);
             Ok(())
         })?;
     }
-    // Final group (possibly short): make everything durable before
-    // assembling the report from the journal.
-    if jnl.pending() > 0 {
-        jnl.flush().map_err(map_journal_err)?;
-        on_journaled(jnl.len() as u64);
-    }
 
-    // Assemble the fleet from the now-complete journal image.
+    // Assemble the fleet from the now-complete journal.
     let mut outcomes: Vec<Result<PairSim, exec::TaskPanic>> = Vec::with_capacity(spec.n_pairs);
     let mut budget_denied = Vec::new();
     let mut first_denial = None;
@@ -380,12 +334,20 @@ fn final_attempt_seed(spec: &FleetSpec, shard: usize, retries: u32) -> u64 {
     spec.attempt_seed(shard, retries)
 }
 
-fn map_journal_err(e: JournalError) -> MeasureError {
-    match e {
-        JournalError::ConfigMismatch { expected, found } => {
-            MeasureError::ResumeConfigMismatch { expected, found }
-        }
-        other => MeasureError::JournalFailed { detail: other.to_string() },
+/// The one journal-open path of both journaled drivers: with `resume`,
+/// open an existing journal (failing loudly on a config mismatch);
+/// otherwise, or when none exists, create a fresh one. Returns the
+/// journal, whether it was resumed, and the torn-tail bytes it skipped.
+pub(crate) fn open_journal(
+    path: &Path,
+    config_fp: u64,
+    resume: bool,
+) -> Result<(Journal, bool, usize), MeasureError> {
+    if resume && path.exists() {
+        let (j, rep) = Journal::open(path, config_fp)?;
+        Ok((j, true, rep.truncated_bytes))
+    } else {
+        Ok((Journal::create(path, config_fp)?, false, 0))
     }
 }
 

@@ -51,7 +51,7 @@ use crate::campaign::{simulate_pair_seeded, PairSim};
 use crate::error::MeasureError;
 use crate::wire::Reader;
 use clouds::CloudProfile;
-use journal::{fingerprint64, Journal, JournalError, JournalRecord};
+use journal::{fingerprint64, JournalRecord};
 use netsim::pattern::TrafficPattern;
 use netsim::rng::{derive_seed, SimRng};
 use std::fmt::Write as _;
@@ -727,7 +727,8 @@ pub struct JournaledStream {
 /// Run (or resume) a crash-safe streaming campaign. Checkpoints are
 /// appended every [`StreamSpec::checkpoint_every`] tenants (aligned to
 /// pane boundaries) and once at the end; `on_checkpoint(tenants_done)`
-/// fires after each durable append — the CLI's crash-testing hook.
+/// fires after each append, once the record is in the file — the CLI's
+/// crash-testing hook.
 ///
 /// `self_check` mode is refused: its exact buffer is O(N) state the
 /// checkpoint format intentionally cannot hold.
@@ -744,12 +745,8 @@ pub fn run_fleet_stream_journaled(
         });
     }
     let config_fp = spec.config_fingerprint();
-    let (mut jnl, resumed, truncated_bytes) = if resume && journal_path.exists() {
-        let (j, rep) = Journal::open(journal_path, config_fp).map_err(map_journal_err)?;
-        (j, true, rep.truncated_bytes)
-    } else {
-        (Journal::create(journal_path, config_fp).map_err(map_journal_err)?, false, 0)
-    };
+    let (mut jnl, resumed, truncated_bytes) =
+        crate::resume::open_journal(journal_path, config_fp, resume)?;
 
     let placement = resolve_placement(spec)?;
     let mut summary = StreamSummary::empty(spec);
@@ -802,8 +799,7 @@ pub fn run_fleet_stream_journaled(
                 seed: spec.seed,
                 fingerprint,
                 payload,
-            })
-            .map_err(map_journal_err)?;
+            })?;
             last_ckpt = s.tenants_done;
             checkpoints_written += 1;
             on_checkpoint(s.tenants_done);
@@ -827,15 +823,6 @@ pub fn run_fleet_stream_journaled(
             checkpoints_written,
         },
     })
-}
-
-fn map_journal_err(e: JournalError) -> MeasureError {
-    match e {
-        JournalError::ConfigMismatch { expected, found } => {
-            MeasureError::ResumeConfigMismatch { expected, found }
-        }
-        other => MeasureError::JournalFailed { detail: other.to_string() },
-    }
 }
 
 /// Decoded checkpoint state.

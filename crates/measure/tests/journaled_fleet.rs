@@ -328,55 +328,3 @@ fn kill_after_callback_reports_journal_growth() {
     assert_eq!(counts, vec![1, 2, 3, 4, 5, 6]);
     fs::remove_file(&path).unwrap();
 }
-
-#[test]
-fn grouped_commit_is_equivalent_to_per_record_commit() {
-    let spec = faulty_spec(103);
-    let per_record = temp_path("group_ref");
-    let grouped = temp_path("group_k3");
-    let a = run_fleet_journaled(&spec, &per_record, false, 0, 2).expect("per-record");
-    let mut flushes = Vec::new();
-    let b = measure::run_fleet_journaled_grouped(&spec, &grouped, false, 0, 2, 3, |n| {
-        flushes.push(n)
-    })
-    .expect("grouped");
-    assert_eq!(fleet_bits(&a.fleet), fleet_bits(&b.fleet));
-    // k=3 over 6 shards: two flushes, each persisting a whole group.
-    assert_eq!(flushes, vec![3, 6]);
-    // The final on-disk image is identical either way: grouping changes
-    // fsync frequency, never journal contents.
-    assert_eq!(fs::read(&per_record).unwrap(), fs::read(&grouped).unwrap());
-    fs::remove_file(&per_record).unwrap();
-    fs::remove_file(&grouped).unwrap();
-}
-
-#[test]
-fn kill_mid_group_replays_to_the_last_full_group() {
-    let spec = faulty_spec(115);
-    let path = temp_path("group_kill_full");
-    // Capture the on-disk journal size at each flush: a kill between
-    // flushes leaves exactly the previous flush's image (deferred
-    // appends live only in memory).
-    let mut sizes = Vec::new();
-    let observe = path.clone();
-    let full = measure::run_fleet_journaled_grouped(&spec, &path, false, 0, 2, 4, |_| {
-        sizes.push(fs::metadata(&observe).unwrap().len())
-    })
-    .expect("full run");
-    assert_eq!(sizes.len(), 2, "k=4 over 6 shards flushes twice");
-    let full_bytes = fs::read(&path).unwrap();
-    assert_eq!(full_bytes.len() as u64, sizes[1]);
-
-    // Kill after the first flush, mid-way through the second group.
-    let killed = temp_path("group_kill_cut");
-    fs::write(&killed, &full_bytes[..sizes[0] as usize]).unwrap();
-    let resumed =
-        measure::run_fleet_journaled_grouped(&spec, &killed, true, 1, 2, 4, |_| ()).expect("resume");
-    assert!(resumed.resume.resumed);
-    assert_eq!(resumed.resume.skipped, 4, "recovery replays exactly the last full group");
-    assert_eq!(resumed.resume.computed, 2);
-    assert_eq!(fleet_bits(&resumed.fleet), fleet_bits(&full.fleet));
-    assert_eq!(fs::read(&killed).unwrap(), full_bytes, "healed journal matches uninterrupted");
-    fs::remove_file(&path).unwrap();
-    fs::remove_file(&killed).unwrap();
-}

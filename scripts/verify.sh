@@ -170,6 +170,8 @@ echo "== campaign kill/resume: crash at a pinned shard, resume, byte-identical r
 #      itself must be jobs-invariant).
 #   4. Resuming under a different seed must fail loudly with the typed
 #      config-fingerprint mismatch, not blend incompatible results.
+#   5. An unknown flag (the removed `fleet --checkpoint-every`) must
+#      fail the run and be named in the error.
 wal=$(mktemp -d)
 trap 'rm -f "$replay_a" "$replay_b" "$par_a" "$par_b" "$slow_a"; rm -rf "$wal"' EXIT
 fleet="cargo run -q --release --offline --bin cloud-repro -- fleet \
@@ -222,6 +224,17 @@ fi
 if ! printf '%s' "$fleet_mismatch_out" | grep -q "different campaign config"; then
   echo "FAIL: config mismatch did not surface the typed error:" >&2
   printf '%s\n' "$fleet_mismatch_out" >&2
+  exit 1
+fi
+# `fleet --checkpoint-every` was removed (every shard is appended in
+# place); passing it must fail and name the flag, not be ignored.
+if fleet_flag_out=$( { $fleet --journal "$wal/flag.wal" --checkpoint-every 2; } 2>&1 ); then
+  echo "FAIL: fleet accepted the removed --checkpoint-every flag" >&2
+  exit 1
+fi
+if ! printf '%s' "$fleet_flag_out" | grep -q -- "unknown flag --checkpoint-every"; then
+  echo "FAIL: unknown-flag error did not name --checkpoint-every:" >&2
+  printf '%s\n' "$fleet_flag_out" >&2
   exit 1
 fi
 cargo test -q --release --offline -p journal --test prop_journal

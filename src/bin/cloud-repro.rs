@@ -16,8 +16,8 @@
 //! dependency set minimal.
 
 use cloud_repro::cli::{
-    cloud_by_name, fabric_path_by_name, get_f64, get_jobs, get_u64, parse_flags, pattern_by_name,
-    topology_by_name, workload_by_name,
+    check_flags, cloud_by_name, fabric_path_by_name, get_f64, get_jobs, get_u64, parse_flags,
+    pattern_by_name, topology_by_name, workload_by_name,
 };
 use cloud_repro::prelude::*;
 use netsim::units::hours;
@@ -267,9 +267,6 @@ fn cmd_fleet_journaled(
     let resume = flags.contains_key("resume");
     let verify = get_u64(flags, "verify-resume", 2)? as usize;
     let kill_after = get_u64(flags, "kill-after", 0)?;
-    // Group commit: one journal write per k settled shards.
-    // Contents are unchanged; a crash loses at most the open group.
-    let group = get_u64(flags, "checkpoint-every", 1)?.max(1) as usize;
     let spec = measure::FleetSpec {
         profile: cloud,
         pattern,
@@ -287,13 +284,12 @@ fn cmd_fleet_journaled(
          {jobs} worker{}",
         if jobs == 1 { "" } else { "s" }
     );
-    let out = measure::run_fleet_journaled_grouped(
+    let out = measure::run_fleet_journaled_with(
         &spec,
         std::path::Path::new(jpath),
         resume,
         verify,
         jobs,
-        group,
         |n| {
             eprintln!("  journaled {n}/{n_pairs} shards");
             if kill_after > 0 && n >= kill_after {
@@ -509,8 +505,7 @@ fn usage() {
     println!("        [--journal PATH] [--resume] [--verify-resume N]   crash-safe campaign:");
     println!("        journal every settled shard, resume after a crash, re-verify N");
     println!("        journaled shards bit-for-bit; [--max-attempts N] [--retry-budget N]");
-    println!("        [--step-budget STEPS] bound repairs; [--kill-after N] crash-test hook;");
-    println!("        [--checkpoint-every K] group-commit one journal write per K shards");
+    println!("        [--step-budget STEPS] bound repairs; [--kill-after N] crash-test hook");
     println!("  probe --cloud C [--probes N] [--max-seconds T]");
     println!("  fingerprint --cloud C [--bucket]");
     println!("  run --cloud C --workload W [--reps N] [--nodes N] [--fabric-path event|reference]");
@@ -546,24 +541,43 @@ fn main() -> ExitCode {
         }
     }
     let result = match cmd.as_str() {
-        "list" => {
-            cmd_list();
-            Ok(())
-        }
-        "campaign" => cmd_campaign(&flags),
-        "fleet" => cmd_fleet(&flags),
-        "probe" => cmd_probe(&flags),
-        "fingerprint" => cmd_fingerprint(&flags),
-        "run" => cmd_run(&flags),
-        "plan" => cmd_plan(&flags),
-        "survey" => {
-            cmd_survey();
-            Ok(())
-        }
+        "list" => check_flags(&flags, &[]).map(|()| cmd_list()),
+        "campaign" => check_flags(
+            &flags,
+            &[
+                "cloud", "pattern", "hours", "seed", "tenants", "faults", "placement-seed",
+                "self-check", "checkpoint-every", "topology", "hosts", "journal", "resume",
+                "kill-after-tenants",
+            ],
+        )
+        .and_then(|()| cmd_campaign(&flags)),
+        "fleet" => check_flags(
+            &flags,
+            &[
+                "cloud", "pattern", "hours", "pairs", "seed", "journal", "resume",
+                "verify-resume", "kill-after", "max-attempts", "retry-budget", "step-budget",
+            ],
+        )
+        .and_then(|()| cmd_fleet(&flags)),
+        "probe" => check_flags(&flags, &["cloud", "probes", "seed", "max-seconds"])
+            .and_then(|()| cmd_probe(&flags)),
+        "fingerprint" => check_flags(&flags, &["cloud", "seed", "bucket"])
+            .and_then(|()| cmd_fingerprint(&flags)),
+        "run" => check_flags(
+            &flags,
+            &[
+                "cloud", "workload", "reps", "nodes", "seed", "fabric-path", "topology",
+                "placement-seed",
+            ],
+        )
+        .and_then(|()| cmd_run(&flags)),
+        "plan" => check_flags(&flags, &["cloud", "workload", "pilot", "target", "seed"])
+            .and_then(|()| cmd_plan(&flags)),
+        "survey" => check_flags(&flags, &[]).map(|()| cmd_survey()),
         // detlint has its own exit-code contract (1 = deny findings,
-        // 2 = I/O error) and must not print usage on a red gate.
+        // 2 = usage or I/O error) and must not print usage on a red gate.
         "detlint" => {
-            return match cmd_detlint(&flags) {
+            return match check_flags(&flags, &["root", "json"]).and_then(|()| cmd_detlint(&flags)) {
                 Ok(true) => ExitCode::SUCCESS,
                 Ok(false) => ExitCode::from(1),
                 Err(e) => {

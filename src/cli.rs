@@ -34,6 +34,15 @@ pub fn parse_flags(args: &[String]) -> Result<BTreeMap<String, String>, String> 
     Ok(flags)
 }
 
+/// Reject any flag outside `allowed` (`--jobs` is allowed everywhere),
+/// so a mistyped or removed flag fails loudly instead of being ignored.
+pub fn check_flags(flags: &BTreeMap<String, String>, allowed: &[&str]) -> Result<(), String> {
+    match flags.keys().find(|k| *k != "jobs" && !allowed.contains(&k.as_str())) {
+        Some(key) => Err(format!("unknown flag --{key}")),
+        None => Ok(()),
+    }
+}
+
 /// Resolve a cloud name like `ec2-c5.xlarge`, `gce-8`, `hpc-2`.
 pub fn cloud_by_name(name: &str) -> Result<clouds::CloudProfile, String> {
     let profile = match name {
@@ -178,6 +187,18 @@ mod tests {
     fn rejects_positional_arguments() {
         assert!(parse_flags(&args(&["oops"])).is_err());
         assert!(parse_flags(&args(&["--"])).is_err());
+    }
+
+    #[test]
+    fn unknown_flags_are_rejected_by_name() {
+        let f = parse_flags(&args(&["--cloud", "hpc-8", "--jobs", "2"])).unwrap();
+        assert!(check_flags(&f, &["cloud"]).is_ok(), "--jobs is allowed everywhere");
+        let f = parse_flags(&args(&["--cloud", "hpc-8", "--checkpoint-evry", "5"])).unwrap();
+        let err = check_flags(&f, &["cloud", "checkpoint-every"]).unwrap_err();
+        assert_eq!(err, "unknown flag --checkpoint-evry");
+        let f = parse_flags(&args(&["--no-cache"])).unwrap();
+        assert!(check_flags(&f, &[]).is_err());
+        assert!(check_flags(&BTreeMap::new(), &[]).is_ok());
     }
 
     #[test]
