@@ -6,7 +6,7 @@
 //! ROADMAP's north star is *millions* of tenants. This module is the
 //! scale lever: tenants are generated in bounded batches from the same
 //! seed-derived streams the fleet uses, each tenant's campaign is
-//! **folded into fixed-size sketch accumulators and dropped**, and the
+//! **folded into bounded-size sketch accumulators and dropped**, and the
 //! final report carries exactly the aggregates the sampling-methodology
 //! literature (PAPERS.md: *Sampling in Cloud Benchmarking*) says
 //! survive discarding raw samples: quantiles, mean/CoV, extremes, and

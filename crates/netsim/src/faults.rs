@@ -446,6 +446,11 @@ pub struct FaultInjector<S> {
     inner: S,
     node: usize,
     schedule: FaultSchedule,
+    /// `next_transition_after(edge_from)`, which is also the next edge
+    /// for every time in `[edge_from, edge_next)`; the schedule is
+    /// owned and never mutated, so the cache cannot go stale.
+    edge_from: f64,
+    edge_next: f64,
 }
 
 impl<S: Shaper> FaultInjector<S> {
@@ -455,6 +460,8 @@ impl<S: Shaper> FaultInjector<S> {
             inner,
             node,
             schedule,
+            edge_from: f64::INFINITY,
+            edge_next: f64::INFINITY,
         }
     }
 
@@ -466,6 +473,16 @@ impl<S: Shaper> FaultInjector<S> {
     /// The schedule driving this injector.
     pub fn schedule(&self) -> &FaultSchedule {
         &self.schedule
+    }
+
+    /// [`FaultSchedule::next_transition_after`] `now`, rescanning the
+    /// timeline only once `now` leaves the cached edge-free stretch.
+    fn next_edge(&mut self, now: f64) -> f64 {
+        if !(self.edge_from <= now && now < self.edge_next) {
+            self.edge_from = now;
+            self.edge_next = self.schedule.next_transition_after(now);
+        }
+        self.edge_next
     }
 }
 
@@ -485,6 +502,22 @@ impl<S: Shaper> Shaper for FaultInjector<S> {
             demand_bits.min(factor * self.inner.rate_hint(now) * dt)
         };
         self.inner.transmit(now, dt, offered)
+    }
+
+    fn transmit_run(&mut self, now: f64, dt: f64, demand_bits: f64, max_steps: u64) -> (u64, f64) {
+        // The factor is constant up to the next episode edge; a run ends
+        // two ticks before it (the trait's clock rule). Healthy and
+        // stalled ticks offer the inner shaper a constant (the demand,
+        // or 0.0), so its own run applies; a degraded ceiling depends
+        // on the inner hint, so that tick is one plain call.
+        let edge = self.next_edge(now);
+        let max_steps = max_steps.min(stable_steps_before(edge, now, dt));
+        let factor = self.schedule.factor_at(self.node, now);
+        if max_steps == 0 || (factor > 0.0 && factor < 1.0) {
+            return (1, self.transmit(now, dt, demand_bits));
+        }
+        let offered = if factor <= 0.0 { 0.0 } else { demand_bits };
+        self.inner.transmit_run(now, dt, offered, max_steps)
     }
 
     fn rate_hint(&self, now: f64) -> f64 {
@@ -536,7 +569,12 @@ impl<S: Shaper> Shaper for FaultInjector<S> {
 /// factors provably cannot change: the distance to the next episode
 /// edge, minus two ticks of slack for the iterated (`+= dt`) clock.
 fn schedule_stable_steps(schedule: &FaultSchedule, now: f64, dt: f64) -> u64 {
-    let t_next = schedule.next_transition_after(now);
+    stable_steps_before(schedule.next_transition_after(now), now, dt)
+}
+
+/// The ticks of `dt` from `now` that stay two ticks clear of the edge
+/// at `t_next` (`u64::MAX` when there is none).
+fn stable_steps_before(t_next: f64, now: f64, dt: f64) -> u64 {
     if !t_next.is_finite() {
         return u64::MAX;
     }

@@ -43,6 +43,30 @@ pub trait Shaper {
     /// Returns the number of bits actually admitted (`<= demand_bits`).
     fn transmit(&mut self, now: f64, dt: f64, demand_bits: f64) -> f64;
 
+    /// Make between 1 and `max_steps` consecutive calls
+    /// `transmit(t_k, dt, demand_bits)` (`t_0 = now`, one tick apart)
+    /// whose grants are **bitwise equal**, and return how many calls
+    /// were made together with that grant. `max_steps` must be at
+    /// least 1.
+    ///
+    /// The shaper is left in the bitwise-identical state the per-call
+    /// loop would leave after that many calls, so a caller may account
+    /// the run as `k` steps of the returned grant. The default makes
+    /// exactly one call. An override decides how far the grant stays
+    /// pinned from its own state (a depleted token bucket is a fixed
+    /// point: `max_steps` in O(1)).
+    ///
+    /// **Clock rule.** An override may read `now` only through edge
+    /// bounds that keep at least two ticks of slack before the edge.
+    /// Callers keep different clocks: `StreamSim` computes
+    /// `i as f64 * dt`, while `Fabric` iterates `t += dt`; the two
+    /// differ by rounding, never by a tick, so a bound with two ticks
+    /// of slack holds under either.
+    fn transmit_run(&mut self, now: f64, dt: f64, demand_bits: f64, max_steps: u64) -> (u64, f64) {
+        debug_assert!(max_steps >= 1);
+        (1, self.transmit(now, dt, demand_bits))
+    }
+
     /// Instantaneous rate ceiling in bits/second at time `now`.
     ///
     /// A planning hint (used e.g. by the max-min fairness solver); it
@@ -239,6 +263,10 @@ impl<A: Shaper, B: Shaper> Shaper for MinShaper<A, B> {
 impl Shaper for Box<dyn Shaper + Send> {
     fn transmit(&mut self, now: f64, dt: f64, demand_bits: f64) -> f64 {
         (**self).transmit(now, dt, demand_bits)
+    }
+
+    fn transmit_run(&mut self, now: f64, dt: f64, demand_bits: f64, max_steps: u64) -> (u64, f64) {
+        (**self).transmit_run(now, dt, demand_bits, max_steps)
     }
 
     fn rate_hint(&self, now: f64) -> f64 {

@@ -307,14 +307,47 @@ impl Shaper for TokenBucket {
         }
     }
 
-    fn rest(&mut self, _now: f64, _dt: f64, steps: u64) {
+    fn transmit_run(&mut self, now: f64, dt: f64, demand_bits: f64, max_steps: u64) -> (u64, f64) {
+        debug_assert!(max_steps >= 1);
+        if demand_bits <= 0.0 {
+            // Every idle call grants 0.0 and only refills.
+            self.rest(now, dt, max_steps);
+            return (max_steps, 0.0);
+        }
+        // A busy call is `b ← min(b + refill·dt, cap) − g` with
+        // `g = min(demand, high·dt, min(b + refill·dt, cap))`: a pure
+        // function of the budget. Step it with the same operations
+        // while the grant bits stay the same; once the budget maps to
+        // itself (a depleted bucket: `0 + refill·dt − refill·dt`),
+        // every further call repeats the last one exactly.
+        let refill = self.refill_bps * dt;
+        let peak = demand_bits.min(self.high_rate_bps * dt);
+        let grant = self.transmit(now, dt, demand_bits);
+        let mut steps = 1;
+        while steps < max_steps {
+            let filled = (self.budget_bits + refill).min(self.capacity_bits);
+            let g = peak.min(filled);
+            if g.to_bits() != grant.to_bits() {
+                break;
+            }
+            let next = filled - g;
+            if next.to_bits() == self.budget_bits.to_bits() {
+                return (max_steps, grant);
+            }
+            self.budget_bits = next;
+            steps += 1;
+        }
+        (steps, grant)
+    }
+
+    fn rest(&mut self, _now: f64, dt: f64, steps: u64) {
         // Each idle tick performs budget = (budget + idle_refill*dt)
         // .min(capacity) and nothing else. The iteration is monotone
         // with a fixed point (the capacity cap, or immediately when the
         // refill increment is zero), so we run the same scalar update
         // and exit as soon as it stops moving — bitwise identical to
         // the full loop, which would keep producing the same value.
-        let x = self.idle_refill_bps * _dt;
+        let x = self.idle_refill_bps * dt;
         for _ in 0..steps {
             let next = (self.budget_bits + x).min(self.capacity_bits);
             if next == self.budget_bits {

@@ -8,6 +8,16 @@
 //! The model is greedy like iperf: while the pattern is "on", the sender
 //! always has data queued, so the achieved rate equals whatever the
 //! shaper admits. Idle phases still advance shaper state (token refill).
+//!
+//! The simulation is event-stepped but bitwise equal to one `transmit`
+//! call per step. A full-speed sender offers a constant demand, so once
+//! two steps in a row grant the same bits, [`StreamSim::run`] asks the
+//! shaper for a pinned run ([`Shaper::transmit_run`]) up to the end of
+//! the summary interval. A depleted token bucket answers a whole
+//! interval in O(1). The interval sums are the same repeated `+=` the
+//! per-step loop performs, memoized for whole-interval runs. Shapers
+//! whose grant moves every step (the noise models) never start a run;
+//! duty-cycle patterns always step singly.
 
 use crate::nic::NicModel;
 use crate::pattern::TrafficPattern;
@@ -94,55 +104,149 @@ impl StreamSim {
 
         let steps = (cfg.duration_s / cfg.step_s).round() as u64;
         let steps_per_interval = (cfg.summary_interval_s / cfg.step_s).round().max(1.0) as u64;
+        // Pinned runs need a constant demand, so only a full-speed
+        // sender asks for them.
+        let runs = cfg.pattern == TrafficPattern::FullSpeed;
+        let mut gate = RunGate::default();
+        let mut whole = WholeIntervalMemo::default();
 
-        let mut interval_bits = 0.0;
-        let mut interval_on_time = 0.0;
         let mut interval_idx: u64 = 0;
         let mut last_rate = 0.0;
+        let mut i: u64 = 0;
 
-        for i in 0..steps {
-            let t = i as f64 * cfg.step_s;
-            let on = cfg.pattern.is_on(t);
-            let demand = if on { f64::INFINITY } else { 0.0 };
-            let granted = shaper.transmit(t, cfg.step_s, demand);
-            if on {
-                interval_bits += granted;
-                interval_on_time += cfg.step_s;
-                last_rate = granted / cfg.step_s;
-            }
-
-            let interval_done = (i + 1) % steps_per_interval == 0 || i + 1 == steps;
-            if interval_done {
-                let interval_start = interval_idx as f64 * cfg.summary_interval_s;
-                if interval_on_time > 0.0 {
-                    let avg_rate = interval_bits / interval_on_time;
-                    let retrans =
-                        nic.count_retransmissions(interval_bits, cfg.write_bytes, avg_rate);
-                    bandwidth.samples.push(BwSample {
-                        t: interval_start,
-                        bandwidth_bps: avg_rate,
-                        bits: interval_bits,
-                        retransmissions: retrans,
-                    });
-                    for k in 0..cfg.rtt_samples_per_interval {
-                        // Sample segments against the momentary rate;
-                        // spread sample timestamps across the interval.
-                        // Retransmitted segments report their inflated
-                        // (recovery-inclusive) RTT, as wireshark would.
-                        let frac = (k as f64 + 0.5) / cfg.rtt_samples_per_interval as f64;
-                        let ts = interval_start + frac * cfg.summary_interval_s;
-                        let outcome =
-                            nic.send_segment(cfg.write_bytes, last_rate.max(avg_rate * 0.5));
-                        rtt.samples.push((ts, outcome.rtt_s()));
+        while i < steps {
+            let interval_end = (i + steps_per_interval).min(steps);
+            let interval_len = interval_end - i;
+            let mut interval_bits = 0.0;
+            let mut interval_on_time = 0.0;
+            while i < interval_end {
+                let t = i as f64 * cfg.step_s;
+                if runs && gate.ready() {
+                    let max = interval_end - i;
+                    let (calls, granted) =
+                        shaper.transmit_run(t, cfg.step_s, f64::INFINITY, max);
+                    gate.observe_run(granted, calls);
+                    if calls == interval_len {
+                        // The run is the whole interval: its sums start
+                        // from 0.0 and depend only on grant and length.
+                        (interval_bits, interval_on_time) =
+                            whole.sums(granted, calls, cfg.step_s);
+                    } else {
+                        for _ in 0..calls {
+                            interval_bits += granted;
+                            interval_on_time += cfg.step_s;
+                        }
                     }
+                    last_rate = granted / cfg.step_s;
+                    i += calls;
+                    continue;
                 }
-                interval_bits = 0.0;
-                interval_on_time = 0.0;
-                interval_idx += 1;
+                let on = cfg.pattern.is_on(t);
+                let demand = if on { f64::INFINITY } else { 0.0 };
+                let granted = shaper.transmit(t, cfg.step_s, demand);
+                gate.observe(granted);
+                if on {
+                    interval_bits += granted;
+                    interval_on_time += cfg.step_s;
+                    last_rate = granted / cfg.step_s;
+                }
+                i += 1;
             }
+
+            let interval_start = interval_idx as f64 * cfg.summary_interval_s;
+            if interval_on_time > 0.0 {
+                let avg_rate = interval_bits / interval_on_time;
+                let retrans = nic.count_retransmissions(interval_bits, cfg.write_bytes, avg_rate);
+                bandwidth.samples.push(BwSample {
+                    t: interval_start,
+                    bandwidth_bps: avg_rate,
+                    bits: interval_bits,
+                    retransmissions: retrans,
+                });
+                for k in 0..cfg.rtt_samples_per_interval {
+                    // Sample segments against the momentary rate;
+                    // spread sample timestamps across the interval.
+                    // Retransmitted segments report their inflated
+                    // (recovery-inclusive) RTT, as wireshark would.
+                    let frac = (k as f64 + 0.5) / cfg.rtt_samples_per_interval as f64;
+                    let ts = interval_start + frac * cfg.summary_interval_s;
+                    let outcome = nic.send_segment(cfg.write_bytes, last_rate.max(avg_rate * 0.5));
+                    rtt.samples.push((ts, outcome.rtt_s()));
+                }
+            }
+            interval_idx += 1;
         }
 
         StreamResult { bandwidth, rtt }
+    }
+}
+
+/// When [`StreamSim::run`] asks its shaper for a pinned run: after two
+/// equal grants in a row, and not again after a run of one call until
+/// the grant changes. A shaper whose grant moves every tick (the noise
+/// models) never gets past the first condition, so it pays one compare
+/// per step. The state carries across summary intervals, so a pinned
+/// interval is a single run.
+#[derive(Default)]
+struct RunGate {
+    /// Bits of the last grant.
+    last: Option<u64>,
+    /// The last two grants were equal.
+    repeated: bool,
+    /// No one-call run since the grant last changed.
+    armed: bool,
+}
+
+impl RunGate {
+    fn ready(&self) -> bool {
+        self.repeated && self.armed
+    }
+
+    /// One plain `transmit` call granted `granted`.
+    fn observe(&mut self, granted: f64) {
+        let bits = granted.to_bits();
+        if self.last == Some(bits) {
+            self.repeated = true;
+        } else {
+            self.last = Some(bits);
+            self.repeated = false;
+            self.armed = true;
+        }
+    }
+
+    /// A `transmit_run` made `calls` calls that each granted `granted`.
+    fn observe_run(&mut self, granted: f64, calls: u64) {
+        self.observe(granted);
+        if calls >= 2 {
+            self.repeated = true;
+        } else {
+            self.armed = false;
+        }
+    }
+}
+
+/// The interval sums of the last whole-interval run, keyed by its grant
+/// bits and length. The sums are the same repeated `+=` from 0.0 the
+/// per-step loop performs, so a hit is bitwise the loop's result.
+#[derive(Default)]
+struct WholeIntervalMemo {
+    key: Option<(u64, u64)>,
+    bits: f64,
+    on_time: f64,
+}
+
+impl WholeIntervalMemo {
+    fn sums(&mut self, granted: f64, calls: u64, step_s: f64) -> (f64, f64) {
+        let key = Some((granted.to_bits(), calls));
+        if self.key != key {
+            let (mut bits, mut on_time) = (0.0, 0.0);
+            for _ in 0..calls {
+                bits += granted;
+                on_time += step_s;
+            }
+            *self = WholeIntervalMemo { key, bits, on_time };
+        }
+        (self.bits, self.on_time)
     }
 }
 

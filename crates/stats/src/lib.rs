@@ -21,7 +21,7 @@
 //!   [`describe`].
 //! * **Bootstrap** CIs and one-way **ANOVA** for robust comparisons —
 //!   [`bootstrap`], [`htest::anova`].
-//! * **Streaming sketches** for million-tenant campaigns: fixed-memory
+//! * **Streaming sketches** for million-tenant campaigns: bounded-memory
 //!   deterministic quantiles, moments and coverage counters that are
 //!   bit-pinned to the exact path at small N — [`sketch`].
 //!

@@ -6,7 +6,7 @@
 //! sampling-methodology literature (see PAPERS.md: *Sampling in Cloud
 //! Benchmarking*) says which aggregates survive dropping raw samples:
 //! quantiles, dispersion (CoV), extremes, and the gap-aware coverage
-//! accounting. [`Sketch`] maintains exactly those in **fixed memory**:
+//! accounting. [`Sketch`] maintains exactly those in **bounded memory**:
 //!
 //! * **Streaming moments** — count, sum, sum of squares, min, max —
 //!   folded in push order (mean/CoV are order-sensitive in the last
@@ -23,12 +23,16 @@
 //!   bins (plus underflow/overflow bins). Beyond `exact_cap` the
 //!   buffer is dropped and quantiles are interpolated inside the
 //!   covering bucket, with relative value error bounded by a small
-//!   multiple of [`SketchConfig::rel_error_bound`].
+//!   multiple of [`SketchConfig::rel_error_bound`]. In memory only the
+//!   occupied window of bins is stored, from the first nonzero bin to
+//!   the last, so a sketch costs at most `buckets` counters and
+//!   usually far fewer; the encoding is dense either way.
 //!
 //! ## Determinism and merging
 //!
-//! Everything in a sketch is a pure fold over its inputs: no clocks,
-//! no allocation growth, no randomness. [`Sketch::merge`] is exact for
+//! Everything in a sketch is a pure fold over its inputs: no clocks
+//! and no randomness; its memory is bounded by the occupied bin
+//! window. [`Sketch::merge`] is exact for
 //! all integer state (counts, histogram, extremes) and sequential for
 //! the float sums, so merging pane sketches **in a fixed pane order**
 //! — the shard-ordered merge `exec` campaigns already guarantee —
@@ -81,7 +85,7 @@ impl SketchConfig {
     }
 }
 
-/// A fixed-memory deterministic quantile + moments sketch. See the
+/// A bounded-memory deterministic quantile + moments sketch. See the
 /// module docs for the exact/histogram contract.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Sketch {
@@ -95,6 +99,10 @@ pub struct Sketch {
     under: u64,
     /// Values `> hi`.
     over: u64,
+    /// Histogram bins `offset..offset + counts.len()`; every other bin
+    /// is zero. The window is tight (first and last entries nonzero,
+    /// or empty with `offset == 0`), so equal histograms compare equal.
+    offset: usize,
     counts: Vec<u64>,
     /// First `exact_cap` values in push/merge order; emptied (and
     /// `overflowed` latched) the moment `n` exceeds the cap.
@@ -114,7 +122,8 @@ impl Sketch {
             max: f64::NEG_INFINITY,
             under: 0,
             over: 0,
-            counts: vec![0; cfg.buckets],
+            offset: 0,
+            counts: Vec::new(),
             exact: Vec::new(),
             overflowed: false,
         }
@@ -193,7 +202,7 @@ impl Sketch {
         if v > self.max {
             self.max = v;
         }
-        self.bucket(v, 1);
+        self.bucket(v);
         if !self.overflowed {
             if self.exact.len() < self.cfg.exact_cap {
                 self.exact.push(v);
@@ -204,19 +213,39 @@ impl Sketch {
         }
     }
 
-    /// Add `c` observations of `v` to the histogram bins.
-    fn bucket(&mut self, v: f64, c: u64) {
+    /// Add one observation of `v` to the histogram bins.
+    fn bucket(&mut self, v: f64) {
         if !(v >= self.cfg.lo) {
             // Below range, or NaN (every comparison with NaN is false).
-            self.under += c;
+            self.under += 1;
         } else if v > self.cfg.hi {
-            self.over += c;
+            self.over += 1;
         } else {
             let span_ln = (self.cfg.hi / self.cfg.lo).ln();
             let frac = (v / self.cfg.lo).ln() / span_ln;
             let idx = ((frac * self.cfg.buckets as f64) as usize).min(self.cfg.buckets - 1);
-            self.counts[idx] += c;
+            self.widen(idx, idx + 1);
+            self.counts[idx - self.offset] += 1;
         }
+    }
+
+    /// Grow the bin window to cover `lo..hi` (a nonempty range), padding
+    /// with zeros. The caller makes the new edge bins nonzero.
+    fn widen(&mut self, lo: usize, hi: usize) {
+        if self.counts.is_empty() {
+            self.offset = lo;
+            self.counts.resize(hi - lo, 0);
+            return;
+        }
+        let (start, end) = (self.offset.min(lo), (self.offset + self.counts.len()).max(hi));
+        if start == self.offset && end == self.offset + self.counts.len() {
+            return;
+        }
+        let mut grown = vec![0; end - start];
+        grown[self.offset - start..self.offset - start + self.counts.len()]
+            .copy_from_slice(&self.counts);
+        self.offset = start;
+        self.counts = grown;
     }
 
     /// Merge `other` into `self`, preserving `self`-then-`other` order
@@ -239,8 +268,12 @@ impl Sketch {
         }
         self.under += other.under;
         self.over += other.over;
-        for (a, b) in self.counts.iter_mut().zip(other.counts.iter()) {
-            *a += *b;
+        if !other.counts.is_empty() {
+            self.widen(other.offset, other.offset + other.counts.len());
+            let at = other.offset - self.offset;
+            for (a, b) in self.counts[at..].iter_mut().zip(other.counts.iter()) {
+                *a += *b;
+            }
         }
         if self.overflowed || other.overflowed {
             self.overflowed = true;
@@ -282,7 +315,7 @@ impl Sketch {
         }
         let span_ln = (self.cfg.hi / self.cfg.lo).ln();
         let b = self.cfg.buckets as f64;
-        for (i, &c) in self.counts.iter().enumerate() {
+        for (i, &c) in (self.offset..).zip(self.counts.iter()) {
             if c == 0 {
                 continue;
             }
@@ -321,9 +354,13 @@ impl Sketch {
         for v in &self.exact {
             out.extend_from_slice(&v.to_bits().to_le_bytes());
         }
+        // Dense on the wire: zeros outside the window.
+        let after = self.cfg.buckets - self.offset - self.counts.len();
+        out.resize(out.len() + self.offset * 8, 0);
         for c in &self.counts {
             out.extend_from_slice(&c.to_le_bytes());
         }
+        out.resize(out.len() + after * 8, 0);
     }
 
     /// Deserialize a sketch from `bytes` starting at `*at`, advancing
@@ -363,10 +400,21 @@ impl Sketch {
         for _ in 0..exact_len {
             exact.push(f64::from_bits(take_u64(bytes, at)?));
         }
-        let mut counts = Vec::with_capacity(buckets);
-        for _ in 0..buckets {
+        // Allocate only the occupied window of the dense bins.
+        let mut dense = *at;
+        let mut window = None::<(usize, usize)>;
+        for i in 0..buckets {
+            if take_u64(bytes, &mut dense)? != 0 {
+                window = Some((window.map_or(i, |w| w.0), i + 1));
+            }
+        }
+        let (offset, end) = window.unwrap_or((0, 0));
+        *at += offset * 8;
+        let mut counts = Vec::with_capacity(end - offset);
+        for _ in offset..end {
             counts.push(take_u64(bytes, at)?);
         }
+        *at = dense;
         Some(Sketch {
             cfg: SketchConfig { lo, hi, buckets, exact_cap },
             n,
@@ -376,6 +424,7 @@ impl Sketch {
             max,
             under,
             over,
+            offset,
             counts,
             exact,
             overflowed,
@@ -627,6 +676,63 @@ mod tests {
             assert_eq!(at, bytes.len());
             assert_eq!(back, s);
         }
+    }
+
+    #[test]
+    fn histogram_window_is_tight_and_dense_on_the_wire() {
+        let cfg = SketchConfig { exact_cap: 4, ..cfg_small() };
+        let fresh = Sketch::new(cfg);
+        assert_eq!(fresh.counts.capacity(), 0, "an empty sketch allocates no bins");
+        let mut empty_bytes = Vec::new();
+        fresh.encode_into(&mut empty_bytes);
+
+        let lows = [0.002, 0.004, 0.003];
+        let highs = [900.0, 20.0, 400.0];
+        let (mut low, mut high, mut all) = (Sketch::new(cfg), Sketch::new(cfg), Sketch::new(cfg));
+        for &v in &lows {
+            low.push(v);
+            all.push(v);
+        }
+        for &v in &highs {
+            high.push(v);
+            all.push(v);
+        }
+        let tight = |s: &Sketch| {
+            s.counts.first().is_some_and(|&c| c > 0) && s.counts.last().is_some_and(|&c| c > 0)
+        };
+        assert!(tight(&low) && tight(&high) && tight(&all));
+        assert!(low.counts.len() < cfg.buckets / 8, "window {} bins", low.counts.len());
+        // Windows grow on merge in either direction and land where the
+        // pushes put them.
+        let mut up = low.clone();
+        assert!(up.merge(&high));
+        let mut down = high.clone();
+        assert!(down.merge(&low));
+        assert_eq!((up.offset, &up.counts), (all.offset, &all.counts));
+        assert_eq!((down.offset, &down.counts), (all.offset, &all.counts));
+        assert!(up.merge(&fresh));
+        assert_eq!((up.offset, &up.counts), (all.offset, &all.counts));
+
+        // The encoding is dense: the same length as an empty sketch's,
+        // with every count at its absolute bin.
+        let mut bytes = Vec::new();
+        all.encode_into(&mut bytes);
+        assert_eq!(bytes.len(), empty_bytes.len());
+        let bins = &bytes[bytes.len() - cfg.buckets * 8..];
+        let dense: Vec<u64> = bins
+            .chunks(8)
+            .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
+            .collect();
+        for (i, &c) in dense.iter().enumerate() {
+            let inside = i >= all.offset && i < all.offset + all.counts.len();
+            assert_eq!(c, if inside { all.counts[i - all.offset] } else { 0 }, "bin {i}");
+        }
+        assert_eq!(dense.iter().sum::<u64>(), 6);
+        let back = Sketch::decode(&bytes, &mut 0).unwrap();
+        assert_eq!(back.counts.capacity(), back.counts.len(), "decode allocates the window only");
+        assert_eq!(back, all);
+        let back = Sketch::decode(&empty_bytes, &mut 0).unwrap();
+        assert_eq!(back, fresh);
     }
 
     #[test]

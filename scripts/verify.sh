@@ -308,6 +308,12 @@ echo "== streaming scale: campaign --tenants, O(1) aggregation, byte-identical e
 #      reproduce the uninterrupted report and journal byte-for-byte.
 #   4. The sketch property suite and the golden-fingerprint integration
 #      test run under the gate.
+#   5. A token-bucket campaign (`--cloud ec2-c5.xlarge`, 1 h per tenant:
+#      every bucket drains, then stays pinned) exercises the
+#      event-stepped kernel (DESIGN.md §10b). It is byte-diffed across
+#      REPRO_JOBS=1/4 and must keep the fingerprint the per-step
+#      kernel printed; the kernel's differential property suite runs
+#      with it.
 scale_dir=$(mktemp -d)
 trap 'rm -f "$replay_a" "$replay_b" "$par_a" "$par_b" "$slow_a"; rm -rf "$wal" "$topo_dir" "$scale_dir"' EXIT
 stream="cargo run -q --release --offline --bin cloud-repro -- campaign \
@@ -320,6 +326,21 @@ if ! diff -u "$scale_dir/j1.out" "$scale_dir/j4.out" > /dev/null; then
   diff -u "$scale_dir/j1.out" "$scale_dir/j4.out" >&2 | head -20
   exit 1
 fi
+tb_stream="cargo run -q --release --offline --bin cloud-repro -- campaign \
+  --cloud ec2-c5.xlarge --tenants 2000 --hours 1 --seed 13 --faults"
+REPRO_JOBS=1 $tb_stream > "$scale_dir/tb_j1.out" 2>/dev/null
+REPRO_JOBS=4 $tb_stream > "$scale_dir/tb_j4.out" 2>/dev/null
+if ! diff -u "$scale_dir/tb_j1.out" "$scale_dir/tb_j4.out" > /dev/null; then
+  echo "FAIL: token-bucket campaign differs between 1 and 4 workers:" >&2
+  diff -u "$scale_dir/tb_j1.out" "$scale_dir/tb_j4.out" >&2 | head -20
+  exit 1
+fi
+if ! grep -q "^fingerprint: 0xdeca019a29c7783e$" "$scale_dir/tb_j1.out"; then
+  echo "FAIL: token-bucket campaign fingerprint moved:" >&2
+  grep "fingerprint" "$scale_dir/tb_j1.out" >&2 || true
+  exit 1
+fi
+cargo test -q --release --offline -p netsim --test prop_stream_run
 stream_check="cargo run -q --release --offline --bin cloud-repro -- campaign \
   --cloud hpc-8 --hours 0.05 --seed 13 --faults --self-check"
 $stream_check --tenants 600 > "$scale_dir/check600.out" 2>/dev/null
